@@ -100,8 +100,8 @@ void congest_sweep() {
     opts.quorum_nodes = c.quorum;
     congest::CongestSetup setup =
         congest::make_congest_setup(plan, c.graph, opts, &faults);
-    // Plain driver for the rate-0 equivalence check (E8's protocol).
-    net::ProtocolDriver plain = congest::make_congest_driver(plan, c.graph);
+    // Plain setup for the rate-0 equivalence check (E8's protocol).
+    congest::CongestSetup plain = congest::make_congest_setup(plan, c.graph);
     const Partial sweep = stats::map_trials<Partial>(
         num_runs,
         [&](Partial& acc, std::uint64_t t) {
@@ -209,7 +209,7 @@ void crash_quorum() {
   // Find the elected leader for this seed with a fault-free probe run, so
   // the crash schedule can target leaves that are neither the root nor the
   // star center (crashing either collapses the whole tree).
-  net::ProtocolDriver probe = congest::make_congest_driver(plan, graph);
+  congest::CongestSetup probe = congest::make_congest_setup(plan, graph);
   const std::uint32_t leader =
       congest::run_congest_uniformity(plan, probe, uniform_sampler, seed)
           .leader;

@@ -99,13 +99,13 @@ void verdict_equality() {
   for (const Side& side : sides) {
     const std::vector<std::uint64_t> seeds = seed_range(side.base, trials);
 
-    net::ProtocolDriver driver = congest::make_congest_driver(plan, graph);
+    congest::CongestSetup setup = congest::make_congest_setup(plan, graph);
     const bench::StopWatch inproc_watch;
     std::vector<congest::CongestRunResult> inproc;
     inproc.reserve(seeds.size());
     for (const std::uint64_t seed : seeds) {
       inproc.push_back(
-          congest::run_congest_uniformity(plan, driver, side.sampler, seed));
+          congest::run_congest_uniformity(plan, setup, side.sampler, seed));
     }
     const double inproc_seconds = inproc_watch.seconds();
     table.row()

@@ -65,14 +65,14 @@ void topology_sweep() {
   for (const Case& c : cases) {
     const std::uint32_t d = c.graph.diameter();
     for (std::uint64_t tau : {4ULL, 32ULL}) {
-      net::ProtocolDriver driver =
-          congest::make_packaging_driver(c.graph, tau);
+      congest::PackagingSetup setup =
+          congest::make_packaging_setup(c.graph, tau);
       const bench::StopWatch watch;
       const Partial sweep = stats::map_trials<Partial>(
           num_runs,
           [&](Partial& acc, std::uint64_t t) {
             const auto result = congest::run_token_packaging(
-                driver, tau, 777 + t, bench::traced_trial(t));
+                setup, 777 + t, bench::traced_trial(t));
             if (!audit_definition_two(result, c.graph.num_nodes(), tau)) {
               ++acc.audits_failed;
             }
@@ -120,8 +120,8 @@ void scaling() {
   stats::TextTable in_d({"line length (D+1)", "rounds", "rounds/D"});
   for (std::uint32_t k : {64u, 256u, 1024u, 4096u}) {
     const Graph line = Graph::line(k);
-    net::ProtocolDriver driver = congest::make_packaging_driver(line, 8);
-    const auto result = congest::run_token_packaging(driver, 8, 5);
+    congest::PackagingSetup setup = congest::make_packaging_setup(line, 8);
+    const auto result = congest::run_token_packaging(setup, 5);
     in_d.row()
         .add(static_cast<std::uint64_t>(k))
         .add(result.metrics.rounds)
@@ -132,8 +132,8 @@ void scaling() {
   stats::TextTable in_tau({"tau", "rounds"});
   const Graph star = Graph::star(1024);  // D = 2: the tau term dominates
   for (std::uint64_t tau : {4ULL, 16ULL, 64ULL, 256ULL}) {
-    net::ProtocolDriver driver = congest::make_packaging_driver(star, tau);
-    const auto result = congest::run_token_packaging(driver, tau, 5);
+    congest::PackagingSetup setup = congest::make_packaging_setup(star, tau);
+    const auto result = congest::run_token_packaging(setup, 5);
     in_tau.row().add(tau).add(result.metrics.rounds);
   }
   bench::print(in_tau);
@@ -145,8 +145,8 @@ void scaling() {
 void bandwidth() {
   bench::section("bandwidth audit (k = 4096 random graph, tau = 16)");
   const Graph g = Graph::random_connected(4096, 2.0, 4);
-  net::ProtocolDriver driver = congest::make_packaging_driver(g, 16);
-  const auto result = congest::run_token_packaging(driver, 16, 6);
+  congest::PackagingSetup setup = congest::make_packaging_setup(g, 16);
+  const auto result = congest::run_token_packaging(setup, 6);
   std::printf("max message bits: %llu (budget 3 + 2*ceil(log2 k) = %u)\n",
               static_cast<unsigned long long>(result.metrics.max_message_bits),
               3 + 2 * net::bits_for(4096));

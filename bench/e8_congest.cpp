@@ -87,16 +87,16 @@ void end_to_end() {
   };
   const std::uint64_t num_runs = bench::runs(30);
   for (const Case& c : cases) {
-    net::ProtocolDriver driver = congest::make_congest_driver(plan, c.graph);
+    congest::CongestSetup setup = congest::make_congest_setup(plan, c.graph);
     const bench::StopWatch watch;
     const Partial sweep = stats::map_trials<Partial>(
         num_runs,
         [&](Partial& acc, std::uint64_t t) {
           const bool traced = bench::traced_trial(t);
           const auto on_uniform = congest::run_congest_uniformity(
-              plan, driver, uniform_sampler, 3000 + t, traced);
+              plan, setup, uniform_sampler, 3000 + t, traced);
           const auto on_far = congest::run_congest_uniformity(
-              plan, driver, far_sampler, 4000 + t, traced);
+              plan, setup, far_sampler, 4000 + t, traced);
           acc.reject_uniform += on_uniform.verdict.rejects();
           acc.accept_far += on_far.verdict.accepts;
           acc.rounds.add(on_uniform.metrics.rounds);
@@ -186,9 +186,9 @@ void round_complexity() {
       {"star (D=2)", Graph::star(4096)},
   };
   for (const Case& c : cases) {
-    net::ProtocolDriver driver = congest::make_congest_driver(plan, c.graph);
+    congest::CongestSetup setup = congest::make_congest_setup(plan, c.graph);
     const auto result =
-        congest::run_congest_uniformity(plan, driver, uniform_sampler, 5);
+        congest::run_congest_uniformity(plan, setup, uniform_sampler, 5);
     const std::uint32_t d = c.graph.diameter();
     table.row()
         .add(c.name)

@@ -151,9 +151,9 @@ BENCHMARK(BM_EqualityProtocolMessage);
 void BM_TokenPackaging(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const net::Graph g = net::Graph::random_connected(k, 2.0, 7);
-  net::ProtocolDriver driver = congest::make_packaging_driver(g, 8);
+  congest::PackagingSetup setup = congest::make_packaging_setup(g, 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(congest::run_token_packaging(driver, 8, 5));
+    benchmark::DoNotOptimize(congest::run_token_packaging(setup, 5));
   }
   state.SetLabel("rounds incl. leader election");
 }

@@ -43,8 +43,8 @@ int main() {
               static_cast<unsigned long long>(plan.threshold),
               static_cast<unsigned long long>(plan.bandwidth_bits));
 
-  dut::net::ProtocolDriver driver =
-      dut::congest::make_congest_driver(plan, grid);
+  dut::congest::CongestSetup setup =
+      dut::congest::make_congest_setup(plan, grid);
 
   struct Scenario {
     const char* name;
@@ -65,7 +65,7 @@ int main() {
     int alarms = 0;
     dut::congest::CongestRunResult last;
     for (std::uint64_t t = 0; t < 20; ++t) {
-      last = dut::congest::run_congest_uniformity(plan, driver, sampler,
+      last = dut::congest::run_congest_uniformity(plan, setup, sampler,
                                                   7000 + t);
       if (last.verdict.rejects()) ++alarms;
     }

@@ -3,20 +3,24 @@
 // Multi-process (sharded) CONGEST uniformity sweeps over ShmTransport.
 //
 // One process per rank: rank 0 coordinates (publishes each trial's seed and
-// trace flag through the shared session, runs its own node shard, merges
-// the verdict) and ranks 1..N-1 serve trials until shutdown. Every rank
-// builds the identical CongestSetup from (plan, graph, resilience, faults)
-// and the identical per-trial inputs from the seed alone, so a sharded
-// trial's verdict stream is bit-identical to run_congest_uniformity at the
-// same seeds — the ctest gate transport_congest_gate holds this equality,
-// and DESIGN.md §14 carries the argument.
+// trace flag through the shared session and reports the results) and ranks
+// 1..N-1 serve trials until shutdown. Every rank builds the identical
+// CongestSetup from (plan, graph, resilience, faults), attaches its
+// ShmTransport to the setup's driver and runs each trial through
+// run_congest_uniformity: the same trial body, input checks included, that
+// an in-process run uses as the 1-rank case. The body derives every input
+// from the seed alone and merges the verdict from all ranks' shard
+// summaries, so a sharded trial's verdict stream is bit-identical to the
+// in-process one at the same seeds — the ctest gate transport_congest_gate
+// holds this equality, and DESIGN.md §14 carries the argument.
 //
-// Abort semantics: a model violation on any rank publishes a shared abort
-// code; peers unwind with net::TransportAborted and the coordinator rethrows
-// the peer's exception type (ProtocolViolation / BandwidthExceeded /
-// RoundLimitExceeded) so sharded callers observe the same failure the
-// in-process runner throws. The original detail string stays on the
-// faulting rank's shard transcript.
+// Abort semantics: a model violation or a failed input check on any rank
+// publishes a shared abort code; peers unwind with net::TransportAborted
+// and the coordinator rethrows the peer's exception type
+// (ProtocolViolation / BandwidthExceeded / RoundLimitExceeded; other
+// failures stay TransportAborted) so sharded callers observe the same
+// failure the in-process runner throws. The original detail string stays
+// on the faulting rank's shard transcript.
 
 #include <cstdint>
 #include <vector>
@@ -58,9 +62,9 @@ struct ShardedCongestOptions {
     const ShardedCongestOptions& options);
 
 /// Worker loop: serves sharded trials on `rank` until session shutdown.
-/// Per-trial model exceptions are swallowed locally (the abort code crosses
-/// the session; the coordinator rethrows); the loop keeps serving
-/// subsequent trials.
+/// Per-trial exceptions, failed input checks included, are swallowed
+/// locally (the abort code crosses the session; the coordinator rethrows);
+/// the loop keeps serving subsequent trials.
 void serve_congest_uniformity(net::ShmSession& session, std::uint32_t rank,
                               const CongestPlan& plan,
                               const net::Graph& graph,

@@ -22,6 +22,14 @@
 // tester's one-sided soundness — faults may only push a uniform input
 // toward rejection, never a far input toward acceptance (up to the 4-bit
 // checksum's escape probability).
+//
+// Entry points are setup-based: make_congest_setup validates a (plan,
+// graph) pair and resolves its engine config and schedule once, and the
+// run_congest_uniformity* calls run trials on the resulting CongestSetup.
+// They share one trial body, which decides from per-rank shard summaries
+// merged through the leased engine's transport: an in-process run is the
+// 1-rank case over InProcTransport, and sharded.hpp runs the same body on
+// every rank over ShmTransport.
 
 #include <cstdint>
 #include <string>
@@ -89,27 +97,13 @@ struct CongestResilience {
 };
 
 /// A graph-bound, ready-to-run protocol instance: the pooled driver plus
-/// the resolved resilience schedule. Build one with make_congest_setup /
-/// make_packaging_setup; it references the graph (keep it alive) and serves
-/// a whole Monte-Carlo sweep, including concurrent trials. Non-movable
-/// (the driver pins engine pool addresses) — take it by reference.
+/// the resolved resilience schedule. Build one with make_congest_setup; it
+/// references the graph (keep it alive) and serves a whole Monte-Carlo
+/// sweep, including concurrent trials. Non-movable (the driver pins engine
+/// pool addresses) — take it by reference.
 struct CongestSetup {
   net::ProtocolDriver driver;
   PackagingResilience schedule;  ///< disabled ⇒ plain protocol
-
-  CongestSetup(const net::Graph& graph, const net::EngineConfig& config,
-               const PackagingResilience& resolved,
-               const net::FaultPlan* faults)
-      : driver(graph, config), schedule(resolved) {
-    // Resilient runs always engage the engine's fault mode (even at all-zero
-    // rates): retransmission copies may target already-halted nodes, which
-    // strict mode treats as a protocol violation.
-    if (faults != nullptr) {
-      driver.set_fault_plan(*faults);
-    } else if (resolved.enabled) {
-      driver.set_fault_plan(net::FaultPlan{});
-    }
-  }
 };
 
 struct CongestRunResult {
@@ -121,20 +115,14 @@ struct CongestRunResult {
   net::EngineMetrics metrics;       ///< rounds / messages / bits / faults
 };
 
-/// Builds the protocol driver for this plan's CONGEST runs on `graph`:
-/// validates feasibility, network size and connectivity once, then hands
-/// back a driver whose pooled engines carry the plan's bandwidth budget and
-/// round cap. The driver references `graph`; keep the graph alive for the
-/// driver's lifetime.
-net::ProtocolDriver make_congest_driver(const CongestPlan& plan,
-                                        const net::Graph& graph);
-
-/// Full setup factory: validates like make_congest_driver, resolves the
-/// resilience schedule from the graph diameter and the plan's tau (all
-/// timeouts sit past fault-free completion, so with zero fault rates the
-/// verdict stream is bit-identical to the plain protocol's), widens the
-/// bandwidth budget for the seq + checksum trailer, and attaches `faults`
-/// to the driver (a zero-rate plan when resilient and none is given).
+/// Setup factory: validates feasibility, network size, connectivity and the
+/// quorum once. A plain setup runs the plan's bandwidth budget under a
+/// 20(k + tau) + 1000 round cap. A resilient one resolves the timeout
+/// schedule from the graph diameter and the plan's tau (all timeouts sit
+/// past fault-free completion, so with zero fault rates the verdict stream
+/// is bit-identical to the plain protocol's) and widens the bandwidth
+/// budget for the seq + checksum trailer. `faults` is attached to the
+/// driver (a zero-rate plan when resilient and none is given).
 CongestSetup make_congest_setup(const CongestPlan& plan,
                                 const net::Graph& graph,
                                 const CongestResilience& opts = {},
@@ -143,17 +131,14 @@ CongestSetup make_congest_setup(const CongestPlan& plan,
 /// Trial-level entry point: reuses a pooled engine and gates DUT_TRACE
 /// resolution with `traced` (pass true for exactly one designated trial
 /// when fanning out in parallel). Deterministic per seed at any
-/// DUT_THREADS. Node v draws one sample from `sampler` as its token (plus
-/// an external id from a seeded permutation for leader election).
+/// DUT_THREADS. Node v draws samples_per_node samples from `sampler` as
+/// its tokens (plus an external id from a seeded permutation for leader
+/// election). The verdict is merged from per-rank shard summaries through
+/// the leased engine's transport, so the same call runs one rank of a
+/// sharded trial when the setup's driver carries a ShmTransport
+/// (sharded.hpp).
 [[nodiscard]] CongestRunResult run_congest_uniformity(const CongestPlan& plan,
                                         CongestSetup& setup,
-                                        const core::AliasSampler& sampler,
-                                        std::uint64_t seed,
-                                        bool traced = true);
-
-/// Plain-protocol variant over a bare driver from make_congest_driver.
-[[nodiscard]] CongestRunResult run_congest_uniformity(const CongestPlan& plan,
-                                        net::ProtocolDriver& driver,
                                         const core::AliasSampler& sampler,
                                         std::uint64_t seed,
                                         bool traced = true);
@@ -163,14 +148,8 @@ CongestSetup make_congest_setup(const CongestPlan& plan,
 /// and the packaging absorbs the imbalance transparently (c(v) < tau
 /// regardless of local load). The plan must have been made with
 /// samples_per_node equal to the MEAN of counts (so ell matches); the
-/// counts must sum to plan.k * plan.samples_per_node.
-[[nodiscard]] CongestRunResult run_congest_uniformity_heterogeneous(
-    const CongestPlan& plan, net::ProtocolDriver& driver,
-    const core::AliasSampler& sampler,
-    const std::vector<std::uint64_t>& counts, std::uint64_t seed,
-    bool traced = true);
-
-/// Setup-based heterogeneous variant (resilient when the setup is).
+/// counts must sum to plan.k * plan.samples_per_node. Resilient when the
+/// setup is.
 [[nodiscard]] CongestRunResult run_congest_uniformity_heterogeneous(
     const CongestPlan& plan, CongestSetup& setup,
     const core::AliasSampler& sampler,
@@ -190,7 +169,7 @@ struct AmplifiedCongestResult {
   std::uint64_t total_messages = 0;
 };
 [[nodiscard]] AmplifiedCongestResult run_congest_uniformity_amplified(
-    const CongestPlan& plan, net::ProtocolDriver& driver,
+    const CongestPlan& plan, CongestSetup& setup,
     const core::AliasSampler& sampler, std::uint64_t seed,
     std::uint64_t repetitions, bool traced = true);
 
@@ -203,31 +182,16 @@ struct PackagingRunResult {
   net::EngineMetrics metrics;
 };
 
-/// Driver factory + trial-level variant for token packaging, mirroring the
-/// uniformity pair above (tau is baked into the driver's round cap).
-net::ProtocolDriver make_packaging_driver(const net::Graph& graph,
-                                          std::uint64_t tau);
-[[nodiscard]] PackagingRunResult run_token_packaging(net::ProtocolDriver& driver,
-                                       std::uint64_t tau, std::uint64_t seed,
-                                       bool traced = true);
-
-/// Resilient token packaging: setup factory + runner (tau baked in).
+/// Token-packaging setup: a driver and resolved schedule as in CongestSetup,
+/// plus the package size tau (baked into the round cap and the schedule).
 struct PackagingSetup {
   net::ProtocolDriver driver;
   PackagingResilience schedule;
   std::uint64_t tau;
-
-  PackagingSetup(const net::Graph& graph, const net::EngineConfig& config,
-                 const PackagingResilience& resolved, std::uint64_t tau_in,
-                 const net::FaultPlan* faults)
-      : driver(graph, config), schedule(resolved), tau(tau_in) {
-    if (faults != nullptr) {
-      driver.set_fault_plan(*faults);
-    } else if (resolved.enabled) {
-      driver.set_fault_plan(net::FaultPlan{});
-    }
-  }
 };
+/// Setup factory for token packaging: the same validation and config and
+/// schedule resolution as make_congest_setup, with the k node ids as the
+/// token domain.
 PackagingSetup make_packaging_setup(const net::Graph& graph,
                                     std::uint64_t tau,
                                     const CongestResilience& opts = {},

@@ -1,142 +1,19 @@
 #include "dut/congest/sharded.hpp"
 
 #include <cstdlib>
-#include <span>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 #include "uniformity_program.hpp"
 
 #include "dut/net/transport/shm_transport.hpp"
 #include "dut/net/transport/worker_group.hpp"
 #include "dut/obs/metrics.hpp"
-#include "dut/obs/phase_timer.hpp"
 #include "dut/obs/trace_merge.hpp"
 
 namespace dut::congest {
 
 namespace {
-
-/// Per-rank verdict summary exchanged after every trial's engine run. Word
-/// layout (all ranks publish; the merge is replayed identically on each):
-///   0  packages formed on this shard
-///   1  a leader finished on this shard (0/1)
-///   2  that leader's external id
-///   3  that leader's node id
-///   4  that leader's total_report
-///   5  that leader's verdict word
-///   6  that leader's covered_total
-///   7  that leader's quorum_met (0/1)
-constexpr std::size_t kSummaryWords = 8;
-
-/// One sharded trial, identical on every rank: the same pre-draws and
-/// program construction as run_congest_uniformity (uniform counts), an
-/// engine run over this rank's shard, then the verdict merge over the
-/// all-gathered shard summaries. The merge replays the in-process extract:
-/// the winning root is the finished leader with the largest external id,
-/// scanned in ascending rank (= ascending node) order with strictly-greater
-/// wins, and every reject-bias branch is taken from the winner's summary.
-CongestRunResult run_shard_trial(const CongestPlan& plan, CongestSetup& setup,
-                                 const core::AliasSampler& sampler,
-                                 net::Transport& transport,
-                                 std::uint64_t seed, bool traced) {
-  const std::uint32_t k = setup.driver.graph().num_nodes();
-
-  // Every rank draws all k nodes' tokens from the shared (seed, 0x5A9)
-  // stream — stream identity is a function of the seed alone, so the shard
-  // a node lands on never changes its tokens.
-  std::vector<std::vector<std::uint64_t>> tokens(k);
-  {
-    obs::PhaseTimer span("sample");
-    stats::Xoshiro256 sample_rng = stats::derive_stream(seed, 0x5A9);
-    for (std::uint32_t v = 0; v < k; ++v) {
-      tokens[v] = sampler.sample_many(sample_rng, plan.samples_per_node);
-    }
-  }
-
-  std::vector<std::uint64_t> ids;
-  MessageWidths widths{};
-  {
-    obs::PhaseTimer span("encode");
-    ids = detail::external_ids(k, seed);
-    widths = detail::widths_for(plan.n, k);
-  }
-
-  obs::PhaseTimer route_span("route");
-  return setup.driver.run_trial(
-      seed, traced,
-      detail::congest_annotations(plan, setup.driver.graph(), setup.schedule,
-                                  sampler, setup.driver.fault_plan()),
-      [&](std::uint32_t v) {
-        return std::make_unique<detail::UniformityTestProgram>(
-            ids[v], std::move(tokens[v]), plan, widths, setup.schedule);
-      },
-      [&](const auto& programs, const net::EngineMetrics& metrics) {
-        obs::PhaseTimer span("decide");
-        const auto [first, last] = transport.shard(k);
-        std::uint64_t summary[kSummaryWords] = {};
-        const detail::UniformityTestProgram* shard_root = nullptr;
-        for (std::uint32_t v = first; v < last; ++v) {
-          summary[0] += programs[v]->packages().size();
-          if (programs[v]->is_leader() &&
-              (shard_root == nullptr ||
-               programs[v]->leader_external_id() >
-                   shard_root->leader_external_id())) {
-            shard_root = programs[v].get();
-            summary[3] = v;
-          }
-        }
-        if (shard_root != nullptr) {
-          summary[1] = 1;
-          summary[2] = shard_root->leader_external_id();
-          summary[4] = shard_root->total_report();
-          summary[5] = shard_root->verdict();
-          summary[6] = shard_root->covered_total();
-          summary[7] = shard_root->quorum_met() ? 1 : 0;
-        }
-
-        std::vector<std::uint64_t> all;
-        transport.exchange_summaries(
-            std::span<const std::uint64_t>(summary, kSummaryWords), all);
-
-        CongestRunResult result;
-        result.metrics = metrics;  // post-reduction: already global
-        const std::uint64_t* winner = nullptr;
-        for (std::uint32_t r = 0; r < transport.num_ranks(); ++r) {
-          const std::uint64_t* s = all.data() + r * kSummaryWords;
-          result.num_packages += s[0];
-          if (s[1] != 0 && (winner == nullptr || s[2] > winner[2])) {
-            winner = s;
-          }
-        }
-        bool rejects;
-        std::uint64_t reject_count = 0;
-        if (winner == nullptr) {
-          rejects = true;
-          result.quorum_met = false;
-        } else {
-          result.leader = static_cast<std::uint32_t>(winner[3]);
-          reject_count = winner[4];
-          if (setup.schedule.enabled) {
-            result.nodes_reporting = winner[6];
-            if (result.nodes_reporting == 0) {
-              rejects = true;
-              result.quorum_met = false;
-            } else {
-              rejects = winner[5] == 1;
-              result.quorum_met = winner[7] != 0;
-            }
-          } else {
-            rejects = winner[5] == 1;
-            result.nodes_reporting = k;
-          }
-        }
-        result.verdict =
-            core::Verdict::make(!rejects, reject_count, result.num_packages,
-                                metrics.rounds, metrics.total_bits);
-        return result;
-      });
-}
 
 void validate_sharded_options(const ShardedCongestOptions& options) {
   if (options.num_ranks < 2 || options.num_ranks > net::shm::kMaxRanks) {
@@ -152,10 +29,6 @@ std::vector<CongestRunResult> coordinate_congest_uniformity(
     net::ShmSession& session, const CongestPlan& plan,
     const net::Graph& graph, const core::AliasSampler& sampler,
     const ShardedCongestOptions& options) {
-  if (sampler.n() != plan.n) {
-    throw std::invalid_argument(
-        "coordinate_congest_uniformity: domain mismatch");
-  }
   CongestSetup setup =
       make_congest_setup(plan, graph, options.resilience, options.faults);
   net::ShmTransport transport(session, 0);
@@ -168,8 +41,8 @@ std::vector<CongestRunResult> coordinate_congest_uniformity(
     const std::uint64_t seq =
         session.begin_trial(options.seeds[t], traced ? 1 : 0);
     try {
-      results.push_back(run_shard_trial(plan, setup, sampler, transport,
-                                        options.seeds[t], traced));
+      results.push_back(run_congest_uniformity(plan, setup, sampler,
+                                               options.seeds[t], traced));
       session.post_ready(0, seq);
     } catch (const net::TransportAborted&) {
       // A peer rank aborted: map the shared code back to the exception the
@@ -190,8 +63,13 @@ std::vector<CongestRunResult> coordinate_congest_uniformity(
           throw;  // kOther / deadline: keep the TransportAborted
       }
     } catch (...) {
-      // This rank's own model exception: the engine already published the
-      // abort code; let the caller see the original.
+      // This rank's own exception: a model violation inside the engine
+      // already published its abort code; anything thrown before the engine
+      // ran (an input check) publishes kOther here so the workers unwind
+      // instead of waiting on the round exchange. The caller sees the
+      // original exception.
+      session.publish_abort(
+          static_cast<std::uint64_t>(net::TransportAbortCode::kOther));
       session.post_ready(0, seq);
       throw;
     }
@@ -215,10 +93,9 @@ void serve_congest_uniformity(net::ShmSession& session, std::uint32_t rank,
     if (trial.shutdown) return;
     last_seq = trial.seq;
     try {
-      const CongestRunResult result = run_shard_trial(
-          plan, setup, sampler, transport, trial.seed,
-          (trial.flags & 1) != 0);
-      (void)result;  // the coordinator's copy is the one reported
+      // The coordinator's copy of the result is the one reported.
+      (void)run_congest_uniformity(plan, setup, sampler, trial.seed,
+                                   (trial.flags & 1) != 0);
     } catch (const net::TransportAborted&) {
       // A peer published the abort; the coordinator rethrows it.
     } catch (const net::ProtocolViolation&) {
@@ -238,15 +115,11 @@ std::vector<CongestRunResult> run_congest_uniformity_sharded(
     const CongestPlan& plan, const net::Graph& graph,
     const core::AliasSampler& sampler, const ShardedCongestOptions& options) {
   validate_sharded_options(options);
-  // Validate once, before forking: a plan/graph mismatch should throw in
-  // the caller's process, not hang a worker group.
-  CongestSetup probe =
-      make_congest_setup(plan, graph, options.resilience, options.faults);
-  (void)probe;
-  if (sampler.n() != plan.n) {
-    throw std::invalid_argument(
-        "run_congest_uniformity_sharded: domain mismatch");
-  }
+  // Validate once, before forking: a bad input should throw in the caller's
+  // process, not abort the first trial of a worker group.
+  detail::check_congest_setup(plan, graph, options.resilience,
+                              "run_congest_uniformity_sharded");
+  detail::check_congest_trial(plan, sampler, detail::uniform_counts(plan));
 
   net::ShmSession session = net::ShmSession::create_anonymous(
       net::ShmSession::Options{.num_ranks = options.num_ranks});

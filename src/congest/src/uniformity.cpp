@@ -3,9 +3,8 @@
 #include "uniformity_program.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -68,19 +67,17 @@ PackagingResilience resolve_schedule(const net::Graph& graph,
   return s;
 }
 
-detail::Annotations packaging_annotations(const net::ProtocolDriver& driver,
-                                          const PackagingResilience& schedule,
-                                          std::uint64_t tau) {
+detail::Annotations packaging_annotations(const PackagingSetup& setup) {
   detail::Annotations ann;
   ann.emplace_back("proto", "token_packaging");
-  ann.emplace_back("topo", driver.graph().spec());
-  ann.emplace_back("tau", std::to_string(tau));
-  if (schedule.enabled) {
-    ann.emplace_back("retx", std::to_string(schedule.retransmits));
-    ann.emplace_back("quorum", std::to_string(schedule.quorum));
+  ann.emplace_back("topo", setup.driver.graph().spec());
+  ann.emplace_back("tau", std::to_string(setup.tau));
+  if (setup.schedule.enabled) {
+    ann.emplace_back("retx", std::to_string(setup.schedule.retransmits));
+    ann.emplace_back("quorum", std::to_string(setup.schedule.quorum));
   }
-  if (driver.fault_plan() != nullptr) {
-    ann.emplace_back("faults", driver.fault_plan()->spec());
+  if (setup.driver.fault_plan() != nullptr) {
+    ann.emplace_back("faults", setup.driver.fault_plan()->spec());
   }
   return ann;
 }
@@ -155,22 +152,6 @@ CongestPlan plan_congest(std::uint64_t n, std::uint32_t k, double epsilon,
 
 namespace {
 
-void validate_congest_graph(const CongestPlan& plan, const net::Graph& graph,
-                            const char* who) {
-  if (!plan.feasible) {
-    throw std::logic_error(std::string(who) + ": plan is infeasible");
-  }
-  if (graph.num_nodes() != plan.k) {
-    throw std::invalid_argument(std::string(who) + ": graph size != k");
-  }
-  if (!graph.is_connected()) {
-    // A disconnected network would elect one leader per component and
-    // silently drop up to (tau-1) tokens per component, breaking
-    // Definition 2; reject it up front.
-    throw std::invalid_argument(std::string(who) + ": graph disconnected");
-  }
-}
-
 net::EngineConfig congest_config(std::uint64_t bandwidth_bits,
                                  std::uint64_t max_rounds) {
   net::EngineConfig config;
@@ -180,71 +161,94 @@ net::EngineConfig congest_config(std::uint64_t bandwidth_bits,
   return config;
 }
 
-}  // namespace
-
-net::ProtocolDriver make_congest_driver(const CongestPlan& plan,
-                                        const net::Graph& graph) {
-  validate_congest_graph(plan, graph, "make_congest_driver");
-  return net::ProtocolDriver(
-      graph, congest_config(plan.bandwidth_bits,
-                            20ULL * (graph.num_nodes() + plan.tau) + 1000));
+void check_network(const net::Graph& graph, const CongestResilience& opts,
+                   const char* who) {
+  if (!graph.is_connected()) {
+    // A disconnected network would elect one leader per component and
+    // silently drop up to (tau-1) tokens per component, breaking
+    // Definition 2; reject it up front.
+    throw std::invalid_argument(std::string(who) + ": graph disconnected");
+  }
+  if (opts.enabled && opts.quorum_nodes > graph.num_nodes()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": quorum exceeds the network size");
+  }
 }
 
-CongestSetup make_congest_setup(const CongestPlan& plan,
-                                const net::Graph& graph,
-                                const CongestResilience& opts,
-                                const net::FaultPlan* faults) {
-  validate_congest_graph(plan, graph, "make_congest_setup");
+struct ResolvedSetup {
+  net::EngineConfig config;
+  PackagingResilience schedule;
+};
+
+/// The config and schedule resolver behind both setup factories, for
+/// packages of `tau` tokens drawn from [0, n). Plain: the protocol's
+/// bandwidth under a 20(k + tau) + 1000 round cap. Resilient: the graph's
+/// timeout schedule, the bandwidth widened for its message trailer, and a
+/// round cap just past the schedule's deadline.
+ResolvedSetup resolve_setup(const net::Graph& graph, std::uint64_t n,
+                            std::uint64_t tau,
+                            const CongestResilience& opts) {
+  const std::uint32_t k = graph.num_nodes();
   if (!opts.enabled) {
-    return CongestSetup(
-        graph,
-        congest_config(plan.bandwidth_bits,
-                       20ULL * (graph.num_nodes() + plan.tau) + 1000),
-        PackagingResilience{}, faults);
+    return {congest_config(required_bandwidth(n, k, PackagingResilience{}),
+                           20ULL * (k + tau) + 1000),
+            PackagingResilience{}};
   }
-  if (opts.quorum_nodes > graph.num_nodes()) {
-    throw std::invalid_argument(
-        "make_congest_setup: quorum exceeds the network size");
-  }
-  const PackagingResilience schedule =
-      resolve_schedule(graph, plan.tau, opts);
-  return CongestSetup(
-      graph,
-      congest_config(required_bandwidth(plan.n, plan.k, schedule),
-                     schedule.deadline + schedule.retransmits + 16),
-      schedule, faults);
+  const PackagingResilience schedule = resolve_schedule(graph, tau, opts);
+  return {congest_config(required_bandwidth(n, k, schedule),
+                         schedule.deadline + schedule.retransmits + 16),
+          schedule};
 }
 
-namespace {
-
-CongestRunResult run_congest_with_counts(
-    const CongestPlan& plan, net::ProtocolDriver& driver,
-    const PackagingResilience& schedule, const core::AliasSampler& sampler,
-    const std::vector<std::uint64_t>& counts, std::uint64_t seed, bool traced,
-    detail::Annotations annotations) {
-  if (sampler.n() != plan.n) {
-    throw std::invalid_argument("run_congest_uniformity: domain mismatch");
+/// The driver both setups hold, with the fault-plan attach they share:
+/// `faults` when given, else a zero-rate plan for a resilient schedule.
+/// Resilient runs always engage the engine's fault mode (even at all-zero
+/// rates): retransmission copies may target already-halted nodes, which
+/// strict mode treats as a protocol violation.
+net::ProtocolDriver make_driver(const net::Graph& graph,
+                                const ResolvedSetup& resolved,
+                                const net::FaultPlan* faults) {
+  if (faults != nullptr) {
+    return net::ProtocolDriver(graph, resolved.config, *faults);
   }
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : counts) {
-    if (c == 0) {
-      throw std::invalid_argument(
-          "run_congest_uniformity: every node needs at least one sample");
-    }
-    total += c;
+  if (resolved.schedule.enabled) {
+    return net::ProtocolDriver(graph, resolved.config, net::FaultPlan{});
   }
-  if (total != static_cast<std::uint64_t>(plan.k) * plan.samples_per_node) {
-    throw std::invalid_argument(
-        "run_congest_uniformity: sample counts do not match the plan's "
-        "total budget (ell would change)");
-  }
+  return net::ProtocolDriver(graph, resolved.config);
+}
 
-  const std::uint32_t k = driver.graph().num_nodes();
+/// Per-rank verdict summary, packed by every rank after the engine run and
+/// all-gathered through the transport. Word layout:
+///   0  packages formed on this shard
+///   1  a leader finished on this shard (0/1)
+///   2  that leader's external id
+///   3  that leader's node id
+///   4  that leader's total_report
+///   5  that leader's verdict word
+///   6  that leader's covered_total
+///   7  that leader's quorum_met (0/1)
+constexpr std::size_t kSummaryWords = 8;
 
-  // Pre-draw every node's tokens in node-id order: run_trial builds
-  // programs in the same order, so the sample_rng stream (and hence every
-  // verdict) is bit-identical to drawing inside the make callback — this
-  // just fences the draws into the "sample" phase span.
+/// The one CONGEST trial body, run identically on every rank (in-process:
+/// the single rank of InProcTransport). Every rank draws all k nodes'
+/// tokens from the shared (seed, 0x5A9) stream in node-id order — stream
+/// identity is a function of the seed alone, so the shard a node lands on
+/// never changes its tokens — and the engine runs this rank's shard. The
+/// merge over the all-gathered summaries picks the winning root: under
+/// faults several forced leaders can coexist, and the one with the largest
+/// external id wins (its wave dominates any surviving fragment of the
+/// tree), scanned in ascending rank (= ascending node) order with
+/// strictly-greater wins. Every reject-bias branch reads the winner's
+/// summary.
+CongestRunResult run_congest_trial(const CongestPlan& plan,
+                                   CongestSetup& setup,
+                                   const core::AliasSampler& sampler,
+                                   const std::vector<std::uint64_t>& counts,
+                                   std::uint64_t seed, bool traced,
+                                   detail::Annotations annotations) {
+  detail::check_congest_trial(plan, sampler, counts);
+  const std::uint32_t k = setup.driver.graph().num_nodes();
+
   std::vector<std::vector<std::uint64_t>> tokens(k);
   {
     obs::PhaseTimer span("sample");
@@ -265,52 +269,74 @@ CongestRunResult run_congest_with_counts(
   // The "route" span covers the whole engine execution; "decide" nests
   // inside it (the extract callback runs before the engine lease returns).
   obs::PhaseTimer route_span("route");
-  return driver.run_trial(
+  return setup.driver.run_trial(
       seed, traced, std::move(annotations),
       [&](std::uint32_t v) {
         return std::make_unique<detail::UniformityTestProgram>(
-            ids[v], std::move(tokens[v]), plan, widths, schedule);
+            ids[v], std::move(tokens[v]), plan, widths, setup.schedule);
       },
-      [&](const auto& programs, const net::EngineMetrics& metrics) {
+      [&](const auto& programs, const net::EngineMetrics& metrics,
+          net::Transport& transport) {
         obs::PhaseTimer span("decide");
-        CongestRunResult result;
-        result.metrics = metrics;
-        // Under faults several forced leaders can coexist; the winner is
-        // the one with the largest external id (its wave dominates any
-        // surviving fragment of the tree).
-        const detail::UniformityTestProgram* root = nullptr;
-        for (std::uint32_t v = 0; v < k; ++v) {
-          result.num_packages += programs[v]->packages().size();
+        const auto [first, last] = transport.shard(k);
+        std::uint64_t summary[kSummaryWords] = {};
+        const detail::UniformityTestProgram* shard_root = nullptr;
+        for (std::uint32_t v = first; v < last; ++v) {
+          summary[0] += programs[v]->packages().size();
           if (programs[v]->is_leader() &&
-              (root == nullptr ||
+              (shard_root == nullptr ||
                programs[v]->leader_external_id() >
-                   root->leader_external_id())) {
-            root = programs[v].get();
-            result.leader = v;
+                   shard_root->leader_external_id())) {
+            shard_root = programs[v].get();
+            summary[3] = v;
+          }
+        }
+        if (shard_root != nullptr) {
+          summary[1] = 1;
+          summary[2] = shard_root->leader_external_id();
+          summary[4] = shard_root->total_report();
+          summary[5] = shard_root->verdict();
+          summary[6] = shard_root->covered_total();
+          summary[7] = shard_root->quorum_met() ? 1 : 0;
+        }
+
+        std::vector<std::uint64_t> all;
+        transport.exchange_summaries(
+            std::span<const std::uint64_t>(summary, kSummaryWords), all);
+
+        CongestRunResult result;
+        result.metrics = metrics;  // post-reduction: already global
+        const std::uint64_t* winner = nullptr;
+        for (std::uint32_t r = 0; r < transport.num_ranks(); ++r) {
+          const std::uint64_t* s = all.data() + r * kSummaryWords;
+          result.num_packages += s[0];
+          if (s[1] != 0 && (winner == nullptr || s[2] > winner[2])) {
+            winner = s;
           }
         }
         bool rejects;
         std::uint64_t reject_count = 0;
-        if (root == nullptr) {
+        if (winner == nullptr) {
           // Leaderless network (e.g. every candidate crashed): no verdict
           // was ever decided — reject-bias.
           rejects = true;
           result.quorum_met = false;
         } else {
-          reject_count = root->total_report();
-          if (schedule.enabled) {
-            result.nodes_reporting = root->covered_total();
+          result.leader = static_cast<std::uint32_t>(winner[3]);
+          reject_count = winner[4];
+          if (setup.schedule.enabled) {
+            result.nodes_reporting = winner[6];
             if (result.nodes_reporting == 0) {
               // The root never reached its decision point (crashed or
               // starved past max_rounds): again reject-bias.
               rejects = true;
               result.quorum_met = false;
             } else {
-              rejects = root->verdict() == 1;
-              result.quorum_met = root->quorum_met();
+              rejects = winner[5] == 1;
+              result.quorum_met = winner[7] != 0;
             }
           } else {
-            rejects = root->verdict() == 1;
+            rejects = winner[5] == 1;
             result.nodes_reporting = k;
           }
         }
@@ -321,45 +347,79 @@ CongestRunResult run_congest_with_counts(
       });
 }
 
-std::vector<std::uint64_t> uniform_counts(const CongestPlan& plan) {
-  return std::vector<std::uint64_t>(plan.k, plan.samples_per_node);
+}  // namespace
+
+namespace detail {
+
+void check_congest_setup(const CongestPlan& plan, const net::Graph& graph,
+                         const CongestResilience& opts, const char* who) {
+  if (!plan.feasible) {
+    throw std::logic_error(std::string(who) + ": plan is infeasible");
+  }
+  if (graph.num_nodes() != plan.k) {
+    throw std::invalid_argument(std::string(who) + ": graph size != k");
+  }
+  check_network(graph, opts, who);
 }
 
-}  // namespace
+void check_congest_trial(const CongestPlan& plan,
+                         const core::AliasSampler& sampler,
+                         const std::vector<std::uint64_t>& counts) {
+  if (sampler.n() != plan.n) {
+    throw std::invalid_argument("run_congest_uniformity: domain mismatch");
+  }
+  if (counts.size() != plan.k) {
+    throw std::invalid_argument(
+        "run_congest_uniformity: one sample count per node");
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : counts) {
+    if (c == 0) {
+      throw std::invalid_argument(
+          "run_congest_uniformity: every node needs at least one sample");
+    }
+    total += c;
+  }
+  if (total != static_cast<std::uint64_t>(plan.k) * plan.samples_per_node) {
+    throw std::invalid_argument(
+        "run_congest_uniformity: sample counts do not match the plan's "
+        "total budget (ell would change)");
+  }
+}
+
+}  // namespace detail
+
+CongestSetup make_congest_setup(const CongestPlan& plan,
+                                const net::Graph& graph,
+                                const CongestResilience& opts,
+                                const net::FaultPlan* faults) {
+  detail::check_congest_setup(plan, graph, opts, "make_congest_setup");
+  const ResolvedSetup resolved = resolve_setup(graph, plan.n, plan.tau, opts);
+  return CongestSetup{make_driver(graph, resolved, faults), resolved.schedule};
+}
+
+PackagingSetup make_packaging_setup(const net::Graph& graph,
+                                    std::uint64_t tau,
+                                    const CongestResilience& opts,
+                                    const net::FaultPlan* faults) {
+  if (tau == 0) {
+    throw std::invalid_argument("make_packaging_setup: tau must be >= 1");
+  }
+  check_network(graph, opts, "make_packaging_setup");
+  const ResolvedSetup resolved =
+      resolve_setup(graph, graph.num_nodes(), tau, opts);
+  return PackagingSetup{make_driver(graph, resolved, faults),
+                        resolved.schedule, tau};
+}
 
 CongestRunResult run_congest_uniformity(const CongestPlan& plan,
                                         CongestSetup& setup,
                                         const core::AliasSampler& sampler,
                                         std::uint64_t seed, bool traced) {
-  return run_congest_with_counts(
-      plan, setup.driver, setup.schedule, sampler, uniform_counts(plan), seed,
-      traced,
+  return run_congest_trial(
+      plan, setup, sampler, detail::uniform_counts(plan), seed, traced,
       detail::congest_annotations(plan, setup.driver.graph(), setup.schedule,
                                   sampler, setup.driver.fault_plan()));
-}
-
-CongestRunResult run_congest_uniformity(const CongestPlan& plan,
-                                        net::ProtocolDriver& driver,
-                                        const core::AliasSampler& sampler,
-                                        std::uint64_t seed, bool traced) {
-  return run_congest_with_counts(
-      plan, driver, PackagingResilience{}, sampler, uniform_counts(plan),
-      seed, traced,
-      detail::congest_annotations(plan, driver.graph(), PackagingResilience{},
-                                  sampler, driver.fault_plan()));
-}
-
-CongestRunResult run_congest_uniformity_heterogeneous(
-    const CongestPlan& plan, net::ProtocolDriver& driver,
-    const core::AliasSampler& sampler,
-    const std::vector<std::uint64_t>& counts, std::uint64_t seed,
-    bool traced) {
-  if (counts.size() != driver.graph().num_nodes()) {
-    throw std::invalid_argument(
-        "run_congest_uniformity_heterogeneous: one count per node");
-  }
-  return run_congest_with_counts(plan, driver, PackagingResilience{}, sampler,
-                                 counts, seed, traced, {});
 }
 
 CongestRunResult run_congest_uniformity_heterogeneous(
@@ -367,16 +427,11 @@ CongestRunResult run_congest_uniformity_heterogeneous(
     const core::AliasSampler& sampler,
     const std::vector<std::uint64_t>& counts, std::uint64_t seed,
     bool traced) {
-  if (counts.size() != setup.driver.graph().num_nodes()) {
-    throw std::invalid_argument(
-        "run_congest_uniformity_heterogeneous: one count per node");
-  }
-  return run_congest_with_counts(plan, setup.driver, setup.schedule, sampler,
-                                 counts, seed, traced, {});
+  return run_congest_trial(plan, setup, sampler, counts, seed, traced, {});
 }
 
 AmplifiedCongestResult run_congest_uniformity_amplified(
-    const CongestPlan& plan, net::ProtocolDriver& driver,
+    const CongestPlan& plan, CongestSetup& setup,
     const core::AliasSampler& sampler, std::uint64_t seed,
     std::uint64_t repetitions, bool traced) {
   if (repetitions == 0 || repetitions % 2 == 0) {
@@ -388,7 +443,7 @@ AmplifiedCongestResult run_congest_uniformity_amplified(
   std::uint64_t total_bits = 0;
   for (std::uint64_t r = 0; r < repetitions; ++r) {
     const auto run = run_congest_uniformity(
-        plan, driver, sampler, stats::SplitMix64(seed ^ (r + 1)).next(),
+        plan, setup, sampler, stats::SplitMix64(seed ^ (r + 1)).next(),
         traced);
     reject_verdicts += run.verdict.rejects();
     result.total_rounds += run.metrics.rounds;
@@ -401,53 +456,9 @@ AmplifiedCongestResult run_congest_uniformity_amplified(
   return result;
 }
 
-net::ProtocolDriver make_packaging_driver(const net::Graph& graph,
-                                          std::uint64_t tau) {
-  if (tau == 0) {
-    throw std::invalid_argument("make_packaging_driver: tau must be >= 1");
-  }
-  if (!graph.is_connected()) {
-    throw std::invalid_argument("make_packaging_driver: graph disconnected");
-  }
-  const std::uint32_t k = graph.num_nodes();
-  return net::ProtocolDriver(
-      graph, congest_config(required_bandwidth(k, k, PackagingResilience{}),
-                            20ULL * (k + tau) + 1000));
-}
-
-PackagingSetup make_packaging_setup(const net::Graph& graph,
-                                    std::uint64_t tau,
-                                    const CongestResilience& opts,
-                                    const net::FaultPlan* faults) {
-  if (tau == 0) {
-    throw std::invalid_argument("make_packaging_setup: tau must be >= 1");
-  }
-  if (!graph.is_connected()) {
-    throw std::invalid_argument("make_packaging_setup: graph disconnected");
-  }
-  const std::uint32_t k = graph.num_nodes();
-  if (!opts.enabled) {
-    return PackagingSetup(
-        graph,
-        congest_config(required_bandwidth(k, k, PackagingResilience{}),
-                       20ULL * (k + tau) + 1000),
-        PackagingResilience{}, tau, faults);
-  }
-  const PackagingResilience schedule = resolve_schedule(graph, tau, opts);
-  return PackagingSetup(
-      graph,
-      congest_config(required_bandwidth(k, k, schedule),
-                     schedule.deadline + schedule.retransmits + 16),
-      schedule, tau, faults);
-}
-
-namespace {
-
-PackagingRunResult run_packaging_trial(net::ProtocolDriver& driver,
-                                       const PackagingResilience& schedule,
-                                       std::uint64_t tau, std::uint64_t seed,
-                                       bool traced) {
-  const std::uint32_t k = driver.graph().num_nodes();
+PackagingRunResult run_token_packaging(PackagingSetup& setup,
+                                       std::uint64_t seed, bool traced) {
+  const std::uint32_t k = setup.driver.graph().num_nodes();
   std::vector<std::uint64_t> ids;
   MessageWidths widths{};
   {
@@ -458,13 +469,15 @@ PackagingRunResult run_packaging_trial(net::ProtocolDriver& driver,
   }
 
   obs::PhaseTimer route_span("route");
-  return driver.run_trial(
-      seed, traced, packaging_annotations(driver, schedule, tau),
+  return setup.driver.run_trial(
+      seed, traced, packaging_annotations(setup),
       [&](std::uint32_t v) {
         return std::make_unique<TokenPackagingProgram>(
-            ids[v], std::vector<std::uint64_t>{v}, tau, widths, schedule);
+            ids[v], std::vector<std::uint64_t>{v}, setup.tau, widths,
+            setup.schedule);
       },
-      [&](const auto& programs, const net::EngineMetrics& metrics) {
+      [&](const auto& programs, const net::EngineMetrics& metrics,
+          net::Transport&) {
         obs::PhaseTimer span("decide");
         PackagingRunResult result;
         result.metrics = metrics;
@@ -479,21 +492,6 @@ PackagingRunResult run_packaging_trial(net::ProtocolDriver& driver,
         result.tokens_dropped = packaged_tokens <= k ? k - packaged_tokens : 0;
         return result;
       });
-}
-
-}  // namespace
-
-PackagingRunResult run_token_packaging(net::ProtocolDriver& driver,
-                                       std::uint64_t tau, std::uint64_t seed,
-                                       bool traced) {
-  return run_packaging_trial(driver, PackagingResilience{}, tau, seed,
-                             traced);
-}
-
-PackagingRunResult run_token_packaging(PackagingSetup& setup,
-                                       std::uint64_t seed, bool traced) {
-  return run_packaging_trial(setup.driver, setup.schedule, setup.tau, seed,
-                             traced);
 }
 
 }  // namespace dut::congest

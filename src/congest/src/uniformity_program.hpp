@@ -1,12 +1,11 @@
 #pragma once
 
-// Private shared internals of the congest uniformity runners: the per-node
-// test program and the deterministic per-trial derivations (external ids,
-// message widths, replay annotations). Both the single-process entry points
-// (uniformity.cpp) and the sharded multi-rank runner (sharded.cpp) build
-// trials from exactly these pieces — that shared construction, driven only
-// by (plan, graph, seed), is what makes a sharded trial's programs
-// bit-identical to the in-process ones.
+// Private internals of the congest uniformity runner: the per-node test
+// program, the deterministic per-trial derivations (external ids, message
+// widths, replay annotations) and the input checks. The trial body in
+// uniformity.cpp builds every trial from these pieces on every rank; the
+// sharded runner (sharded.cpp) reuses the checks to validate its inputs
+// before it forks any rank.
 
 #include <cstdio>
 #include <numeric>
@@ -58,6 +57,22 @@ inline Annotations congest_annotations(const CongestPlan& plan,
     ann.emplace_back("faults", faults->spec());
   }
   return ann;
+}
+
+/// Setup checks make_congest_setup applies: a feasible plan and a connected
+/// network of exactly plan.k nodes that can meet the resilience quorum.
+void check_congest_setup(const CongestPlan& plan, const net::Graph& graph,
+                         const CongestResilience& opts, const char* who);
+
+/// Trial checks every rank's trial body applies: `sampler` draws from the
+/// plan's domain, and `counts` give each of the plan's k nodes at least one
+/// sample and sum to k * samples_per_node.
+void check_congest_trial(const CongestPlan& plan,
+                         const core::AliasSampler& sampler,
+                         const std::vector<std::uint64_t>& counts);
+
+inline std::vector<std::uint64_t> uniform_counts(const CongestPlan& plan) {
+  return std::vector<std::uint64_t>(plan.k, plan.samples_per_node);
 }
 
 inline MessageWidths widths_for(std::uint64_t n, std::uint32_t k) {

@@ -319,7 +319,8 @@ LocalRunResult run_local_uniformity(const LocalPlan& plan,
                                                std::move(samples[v]),
                                                sample_bits);
       },
-      [&](const auto& programs, const net::EngineMetrics& metrics) {
+      [&](const auto& programs, const net::EngineMetrics& metrics,
+          net::Transport&) {
         obs::PhaseTimer span("decide");
         LocalRunResult result;
         result.gather_metrics = metrics;

@@ -113,17 +113,6 @@ class FleetMonitor final : public stats::SequentialTester {
   std::uint64_t epochs_completed() const noexcept { return epoch_; }
   std::uint64_t alarms_raised() const noexcept { return alarms_; }
 
-  // --- deprecated pre-SequentialTester surface (kept one release) ---
-
-  [[deprecated("epochs close automatically; poll reports_pending()")]]
-  bool epoch_ready() const noexcept {
-    return !pending_.empty();
-  }
-  [[deprecated("use next_report()")]]
-  EpochReport end_epoch() {
-    return next_report();
-  }
-
  private:
   void close_epoch();
 

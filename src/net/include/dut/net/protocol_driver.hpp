@@ -110,8 +110,11 @@ class ProtocolDriver {
 
   /// Runs one trial: builds `make(v)` for every node v, runs a leased
   /// engine over them with the trial's `seed`, and returns
-  /// `extract(programs, metrics)`. `traced` gates DUT_TRACE resolution for
-  /// this trial (see file comment). `annotations` is the replay preamble
+  /// `extract(programs, metrics, transport)`, where `transport` is the
+  /// leased engine's delivery backend (the attached one, else the engine's
+  /// InProcTransport): extractors that merge per-rank state use its
+  /// shard() and exchange_summaries(). `traced` gates DUT_TRACE resolution
+  /// for this trial (see file comment). `annotations` is the replay preamble
   /// stamped into the run_start trace event (trace.hpp) — it is set on the
   /// leased engine unconditionally, empty included, because pooled engines
   /// remember their last stamp. Thread-safe; concurrent callers lease
@@ -136,7 +139,8 @@ class ProtocolDriver {
       table.push_back(programs.back().get());
     }
     lease.engine().run(table, seed);
-    return extract(programs, lease.engine().metrics());
+    return extract(programs, lease.engine().metrics(),
+                   lease.engine().transport());
   }
 
   /// Same, without replay metadata (the leased engine's stamp is blanked).

@@ -35,7 +35,7 @@ TEST(CongestResilient, RateZeroVerdictsMatchThePlainProtocol) {
   const Graph g = Graph::random_connected(plan.k, 2.0, 17);
   const core::AliasSampler uni(core::uniform(plan.n));
 
-  net::ProtocolDriver plain = make_congest_driver(plan, g);
+  CongestSetup plain = make_congest_setup(plan, g);
   CongestResilience opts;
   opts.enabled = true;
   CongestSetup resilient = make_congest_setup(plan, g, opts);
@@ -103,7 +103,8 @@ DiscardStats run_packaging_with_stats(PackagingSetup& setup,
             /*external_id=*/v, std::vector<std::uint64_t>{v}, setup.tau,
             widths, setup.schedule);
       },
-      [&](const auto& programs, const net::EngineMetrics& metrics) {
+      [&](const auto& programs, const net::EngineMetrics& metrics,
+          net::Transport&) {
         DiscardStats stats;
         stats.metrics = metrics;
         for (std::uint32_t v = 0; v < k; ++v) {

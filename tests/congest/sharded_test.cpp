@@ -8,6 +8,7 @@
 #include "dut/congest/sharded.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include "dut/congest/uniformity.hpp"
 #include "dut/core/families.hpp"
 #include "dut/core/sampler.hpp"
+#include "dut/net/transport/worker_group.hpp"
 #include "dut/obs/trace_reader.hpp"
 
 namespace dut::congest {
@@ -189,10 +191,14 @@ TEST(TransportCongestGate, MergedTraceIsByteIdenticalToInProc) {
   const core::AliasSampler sampler(core::uniform(n));
   const std::uint64_t seed = 314159;
 
+  // Per-process names: ctest may run this case twice concurrently (on its
+  // own and inside transport_congest_gate), and shared paths would mix the
+  // two runs' rank shards.
+  const std::string tag = std::to_string(::getpid());
   const std::string inproc_path =
-      testing::TempDir() + "sharded_inproc_trace.jsonl";
+      testing::TempDir() + "sharded_inproc_trace_" + tag + ".jsonl";
   const std::string sharded_path =
-      testing::TempDir() + "sharded_merged_trace.jsonl";
+      testing::TempDir() + "sharded_merged_trace_" + tag + ".jsonl";
   std::remove(inproc_path.c_str());
   std::remove(sharded_path.c_str());
   for (std::uint32_t r = 0; r < 2; ++r) {
@@ -250,6 +256,8 @@ TEST(TransportCongestGate, MergedTraceIsByteIdenticalToInProc) {
   EXPECT_TRUE(runs[0].consistent());
   EXPECT_EQ(runs[0].messages, sharded[0].metrics.messages);
   EXPECT_EQ(runs[0].total_bits, sharded[0].metrics.total_bits);
+  std::remove(inproc_path.c_str());
+  std::remove(sharded_path.c_str());
 }
 
 TEST(TransportCongestGate, OptionValidation) {
@@ -281,6 +289,33 @@ TEST(TransportCongestGate, OptionValidation) {
   EXPECT_THROW(
       (void)run_congest_uniformity_sharded(plan, g, wrong_domain, options),
       std::invalid_argument);
+}
+
+TEST(TransportCongestGate, WorkerRankDomainMismatchThrows) {
+  // Every rank checks its own sampler: a worker built with the wrong domain
+  // must fail the trial instead of silently changing its shard's tokens.
+  const std::uint64_t n = 1 << 12;
+  const auto plan = plan_congest(n, 1024, 0.9, 1.0 / 3.0,
+                                 core::TailBound::kExactBinomial, 16);
+  ASSERT_TRUE(plan.feasible);
+  const Graph g = Graph::random_connected(1024, 2.0, 23);
+  const core::AliasSampler sampler(core::uniform(n));
+  const core::AliasSampler wrong_domain(core::uniform(n / 2));
+  ShardedCongestOptions options;
+  options.num_ranks = 2;
+  options.seeds = {1};
+
+  net::ShmSession session = net::ShmSession::create_anonymous(
+      net::ShmSession::Options{.num_ranks = options.num_ranks});
+  net::WorkerGroup group(session, [&](std::uint32_t rank) {
+    serve_congest_uniformity(session, rank, plan, g, wrong_domain, options);
+  });
+  std::vector<CongestRunResult> results;
+  EXPECT_THROW(results = coordinate_congest_uniformity(session, plan, g,
+                                                       sampler, options),
+               net::TransportAborted);
+  EXPECT_TRUE(results.empty());
+  group.finish();
 }
 
 }  // namespace

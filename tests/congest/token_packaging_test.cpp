@@ -18,12 +18,12 @@ namespace {
 
 using net::Graph;
 
-// The public API takes a pooled ProtocolDriver; these tests sweep many
-// one-shot (graph, tau) pairs, so route each through a fresh driver.
+// The public API takes a pooled PackagingSetup; these tests sweep many
+// one-shot (graph, tau) pairs, so route each through a fresh setup.
 PackagingRunResult run_token_packaging(const Graph& graph, std::uint64_t tau,
                                        std::uint64_t seed) {
-  net::ProtocolDriver driver = make_packaging_driver(graph, tau);
-  return ::dut::congest::run_token_packaging(driver, tau, seed);
+  PackagingSetup setup = make_packaging_setup(graph, tau);
+  return ::dut::congest::run_token_packaging(setup, seed);
 }
 
 struct PackagingCase {

@@ -20,14 +20,14 @@ namespace {
 
 using net::Graph;
 
-// The public API runs over a pooled ProtocolDriver; these tests sweep
-// one-shot (plan, graph) pairs, so route each through a fresh driver.
+// The public API runs over a pooled CongestSetup; these tests sweep
+// one-shot (plan, graph) pairs, so route each through a fresh setup.
 CongestRunResult run_congest_uniformity(const CongestPlan& plan,
                                         const Graph& graph,
                                         const core::AliasSampler& sampler,
                                         std::uint64_t seed) {
-  net::ProtocolDriver driver = make_congest_driver(plan, graph);
-  return ::dut::congest::run_congest_uniformity(plan, driver, sampler, seed);
+  CongestSetup setup = make_congest_setup(plan, graph);
+  return ::dut::congest::run_congest_uniformity(plan, setup, sampler, seed);
 }
 
 TEST(CongestTrace, TranscriptReproducesEngineMetricsWithinBudget) {

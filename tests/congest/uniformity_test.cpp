@@ -15,32 +15,32 @@ namespace {
 
 using net::Graph;
 
-// The public API runs over a pooled ProtocolDriver; these tests sweep
-// one-shot (plan, graph) pairs, so route each through a fresh driver.
+// The public API runs over a pooled CongestSetup; these tests sweep
+// one-shot (plan, graph) pairs, so route each through a fresh setup.
 CongestRunResult run_congest_uniformity(const CongestPlan& plan,
                                         const Graph& graph,
                                         const core::AliasSampler& sampler,
                                         std::uint64_t seed) {
-  net::ProtocolDriver driver = make_congest_driver(plan, graph);
-  return ::dut::congest::run_congest_uniformity(plan, driver, sampler, seed);
+  CongestSetup setup = make_congest_setup(plan, graph);
+  return ::dut::congest::run_congest_uniformity(plan, setup, sampler, seed);
 }
 
 CongestRunResult run_congest_uniformity_heterogeneous(
     const CongestPlan& plan, const Graph& graph,
     const core::AliasSampler& sampler,
     const std::vector<std::uint64_t>& counts, std::uint64_t seed) {
-  net::ProtocolDriver driver = make_congest_driver(plan, graph);
+  CongestSetup setup = make_congest_setup(plan, graph);
   return ::dut::congest::run_congest_uniformity_heterogeneous(
-      plan, driver, sampler, counts, seed);
+      plan, setup, sampler, counts, seed);
 }
 
 AmplifiedCongestResult run_congest_uniformity_amplified(
     const CongestPlan& plan, const Graph& graph,
     const core::AliasSampler& sampler, std::uint64_t seed,
     std::uint64_t repetitions) {
-  net::ProtocolDriver driver = make_congest_driver(plan, graph);
+  CongestSetup setup = make_congest_setup(plan, graph);
   return ::dut::congest::run_congest_uniformity_amplified(
-      plan, driver, sampler, seed, repetitions);
+      plan, setup, sampler, seed, repetitions);
 }
 
 TEST(CongestPlanner, FeasibleRegime) {

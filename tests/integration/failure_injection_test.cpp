@@ -61,7 +61,7 @@ TEST(FailureInjection, DisconnectedGraphRejectedUpFront) {
   Graph g(8);  // two components: 0-1-2-3 and 4-5-6-7
   for (std::uint32_t v = 0; v < 3; ++v) g.add_edge(v, v + 1);
   for (std::uint32_t v = 4; v < 7; ++v) g.add_edge(v, v + 1);
-  EXPECT_THROW(congest::make_packaging_driver(g, 2), std::invalid_argument);
+  EXPECT_THROW(congest::make_packaging_setup(g, 2), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ TEST(FailureInjection, CongestRunRejectsForeignGraph) {
   ASSERT_TRUE(plan.feasible);
   const core::AliasSampler sampler(core::uniform(1 << 12));
   const Graph wrong = Graph::ring(128);
-  EXPECT_THROW(congest::make_congest_driver(plan, wrong),
+  EXPECT_THROW(congest::make_congest_setup(plan, wrong),
                std::invalid_argument);
 }
 

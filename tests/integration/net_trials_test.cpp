@@ -63,12 +63,12 @@ TEST(NetTrials, CongestVerdictStreamIsThreadInvariant) {
   const Graph g = Graph::star(4096);
   const core::AliasSampler uniform_sampler(core::uniform(1 << 12));
   const core::AliasSampler far_sampler(core::far_instance(1 << 12, 1.2));
-  net::ProtocolDriver driver = congest::make_congest_driver(plan, g);
+  congest::CongestSetup setup = congest::make_congest_setup(plan, g);
   expect_thread_invariant(6, [&](std::uint64_t t) {
     const auto on_uniform = congest::run_congest_uniformity(
-        plan, driver, uniform_sampler, 3000 + t, /*traced=*/false);
+        plan, setup, uniform_sampler, 3000 + t, /*traced=*/false);
     const auto on_far = congest::run_congest_uniformity(
-        plan, driver, far_sampler, 4000 + t, /*traced=*/false);
+        plan, setup, far_sampler, 4000 + t, /*traced=*/false);
     std::uint64_t h = mix(0, on_uniform.verdict.rejects());
     h = mix(h, on_uniform.verdict.votes_reject);
     h = mix(h, on_uniform.leader);
@@ -83,10 +83,10 @@ TEST(NetTrials, CongestVerdictStreamIsThreadInvariant) {
 
 TEST(NetTrials, PackagingStreamIsThreadInvariant) {
   const Graph g = Graph::ring(256);
-  net::ProtocolDriver driver = congest::make_packaging_driver(g, /*tau=*/4);
+  congest::PackagingSetup setup = congest::make_packaging_setup(g, /*tau=*/4);
   expect_thread_invariant(8, [&](std::uint64_t t) {
     const auto result =
-        congest::run_token_packaging(driver, 4, 777 + t, /*traced=*/false);
+        congest::run_token_packaging(setup, 777 + t, /*traced=*/false);
     std::uint64_t h = mix(0, result.tokens_dropped);
     h = mix(h, result.leader);
     h = mix(h, result.metrics.rounds);

@@ -43,7 +43,7 @@ TEST(Integration, IdentityFilterComposesWithCongestTester) {
   ASSERT_TRUE(plan.feasible) << plan.infeasible_reason;
 
   const net::Graph graph = net::Graph::random_connected(k, 2.0, 11);
-  net::ProtocolDriver driver = congest::make_congest_driver(plan, graph);
+  congest::CongestSetup setup = congest::make_congest_setup(plan, graph);
 
   // The exact filtered distributions, sampled directly: the filter theorem
   // (verified exactly in the unit tests) says this is equivalent to each
@@ -57,10 +57,10 @@ TEST(Integration, IdentityFilterComposesWithCongestTester) {
   std::uint64_t detections = 0;
   constexpr std::uint64_t kTrials = 12;
   for (std::uint64_t t = 0; t < kTrials; ++t) {
-    false_alarms += congest::run_congest_uniformity(plan, driver, on_reference,
+    false_alarms += congest::run_congest_uniformity(plan, setup, on_reference,
                                                     100 + t)
                         .verdict.rejects();
-    detections += congest::run_congest_uniformity(plan, driver, on_drifted,
+    detections += congest::run_congest_uniformity(plan, setup, on_drifted,
                                                   200 + t)
                       .verdict.rejects();
   }
@@ -119,7 +119,7 @@ TEST(Integration, ThreeModelsAgreeOnVerdictDirection) {
   const auto cg = congest::plan_congest(n, 4096, eps);
   ASSERT_TRUE(cg.feasible);
   const net::Graph graph = net::Graph::random_connected(4096, 2.0, 5);
-  net::ProtocolDriver cg_driver = congest::make_congest_driver(cg, graph);
+  congest::CongestSetup cg_setup = congest::make_congest_setup(cg, graph);
   // LOCAL on a ring (needs a larger eps regime: use far at 1.5).
   const auto lp = local::plan_local(1 << 13, net::Graph::ring(4096), 1.5,
                                     1.0 / 3.0, 16, 7);
@@ -141,7 +141,7 @@ TEST(Integration, ThreeModelsAgreeOnVerdictDirection) {
     return core::run_threshold_network(zr, uniform_sampler, rng).rejects();
   }));
   EXPECT_FALSE(majority([&](std::uint64_t t) {
-    return congest::run_congest_uniformity(cg, cg_driver, uniform_sampler,
+    return congest::run_congest_uniformity(cg, cg_setup, uniform_sampler,
                                            10 + t)
         .verdict.rejects();
   }));
@@ -156,7 +156,7 @@ TEST(Integration, ThreeModelsAgreeOnVerdictDirection) {
     return core::run_threshold_network(zr, far_sampler, rng).rejects();
   }));
   EXPECT_TRUE(majority([&](std::uint64_t t) {
-    return congest::run_congest_uniformity(cg, cg_driver, far_sampler, 30 + t)
+    return congest::run_congest_uniformity(cg, cg_setup, far_sampler, 30 + t)
         .verdict.rejects();
   }));
   EXPECT_TRUE(majority([&](std::uint64_t t) {
@@ -175,9 +175,9 @@ TEST(Integration, FullStackReplayIsBitIdentical) {
   ASSERT_TRUE(plan.feasible);
   const net::Graph graph = net::Graph::grid(64, 64);
   const core::AliasSampler sampler(core::zipf(n, 0.3));
-  net::ProtocolDriver driver = congest::make_congest_driver(plan, graph);
-  const auto a = congest::run_congest_uniformity(plan, driver, sampler, 99);
-  const auto b = congest::run_congest_uniformity(plan, driver, sampler, 99);
+  congest::CongestSetup setup = congest::make_congest_setup(plan, graph);
+  const auto a = congest::run_congest_uniformity(plan, setup, sampler, 99);
+  const auto b = congest::run_congest_uniformity(plan, setup, sampler, 99);
   EXPECT_EQ(a.verdict.accepts, b.verdict.accepts);
   EXPECT_EQ(a.verdict.votes_reject, b.verdict.votes_reject);
   EXPECT_EQ(a.leader, b.leader);

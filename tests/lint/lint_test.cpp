@@ -694,114 +694,6 @@ TEST(LintSarif, ValidatorRejectsBrokenLogs) {
   EXPECT_FALSE(sarif_validate(wrong_level).empty());
 }
 
-// --- incremental cache -----------------------------------------------------
-
-class LintCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() / "dut_lint_cache_test";
-    fs::create_directories(dir_);
-    cache_ = (dir_ / "cache.json").string();
-    fs::remove(cache_);
-    sources_ = {{"src/core/src/a.cpp", read_fixture("d_rules.cpp")},
-                {"src/core/src/clean.cpp", read_fixture("clean.cpp")}};
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  static std::string signature(const LintResult& r) {
-    return result_json(r, diff_baseline(r.findings, {}));
-  }
-  std::string read_cache() {
-    std::ifstream in(cache_, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  }
-  void write_cache(const std::string& text) {
-    std::ofstream out(cache_, std::ios::binary | std::ios::trunc);
-    out << text;
-  }
-
-  fs::path dir_;
-  std::string cache_;
-  std::vector<SourceText> sources_;
-};
-
-TEST_F(LintCacheTest, ColdThenWarmThenEditInvalidates) {
-  CacheStats cold;
-  const LintResult r1 = lint_corpus_cached(sources_, cache_, &cold);
-  EXPECT_TRUE(cold.full_scan);
-  EXPECT_EQ(cold.hits, 0u);
-  EXPECT_EQ(cold.misses, 2u);
-  EXPECT_FALSE(cold.corrupt);
-
-  CacheStats warm;
-  const LintResult r2 = lint_corpus_cached(sources_, cache_, &warm);
-  EXPECT_FALSE(warm.full_scan);
-  EXPECT_EQ(warm.hits, 2u);
-  EXPECT_EQ(warm.misses, 0u);
-  EXPECT_EQ(signature(r2), signature(r1));
-
-  // Editing one file downgrades the whole run (cross-TU passes make
-  // per-file reuse unsound), but the untouched file still counts as a hit.
-  sources_[1].contents += "\nint edited = 1;\n";
-  CacheStats edited;
-  const LintResult r3 = lint_corpus_cached(sources_, cache_, &edited);
-  EXPECT_TRUE(edited.full_scan);
-  EXPECT_EQ(edited.hits, 1u);
-  EXPECT_EQ(edited.misses, 1u);
-  EXPECT_EQ(r3.findings.size(), r1.findings.size());
-}
-
-TEST_F(LintCacheTest, RuleSetBumpVanishedFileAndCorruptionGoCold) {
-  CacheStats cold;
-  const LintResult r1 = lint_corpus_cached(sources_, cache_, &cold);
-
-  // Tampering with the recorded rule-set hash simulates a rule change:
-  // every per-file hash still matches, yet the run must go cold.
-  std::string text = read_cache();
-  const std::size_t at = text.find("\"ruleset_hash\": ");
-  ASSERT_NE(at, std::string::npos);
-  const std::size_t digit = at + 16;
-  text[digit] = text[digit] == '1' ? '2' : '1';
-  write_cache(text);
-  CacheStats bumped;
-  (void)lint_corpus_cached(sources_, cache_, &bumped);
-  EXPECT_TRUE(bumped.full_scan);
-  EXPECT_EQ(bumped.hits, 2u);
-
-  // A file vanishing from the corpus is a miss even though every present
-  // file matches (the census could have depended on the vanished decls).
-  std::vector<SourceText> fewer = {sources_[0]};
-  CacheStats vanished;
-  (void)lint_corpus_cached(fewer, cache_, &vanished);
-  EXPECT_TRUE(vanished.full_scan);
-  EXPECT_GE(vanished.misses, 1u);
-
-  // A corrupt cache file falls back to a clean full scan with identical
-  // findings, and flags the corruption for the CLI's cache status line.
-  write_cache("not json {{{");
-  CacheStats corrupt;
-  const LintResult r4 = lint_corpus_cached(sources_, cache_, &corrupt);
-  EXPECT_TRUE(corrupt.corrupt);
-  EXPECT_TRUE(corrupt.full_scan);
-  EXPECT_EQ(signature(r4), signature(r1));
-
-  // ... and the rewrite performed by that scan repairs the cache.
-  CacheStats repaired;
-  (void)lint_corpus_cached(sources_, cache_, &repaired);
-  EXPECT_FALSE(repaired.full_scan);
-}
-
-TEST(LintCache, EmptyPathDisablesCaching) {
-  const std::vector<SourceText> sources = {
-      {"src/core/src/clean.cpp", "int x = 0;\n"}};
-  CacheStats stats;
-  (void)lint_corpus_cached(sources, "", &stats);
-  EXPECT_TRUE(stats.full_scan);
-  EXPECT_EQ(stats.misses, 1u);
-}
-
 // --- baseline double-booking -----------------------------------------------
 
 TEST(LintBaseline, WriteRefusesEntriesDoubleBookedWithSuppressions) {

@@ -375,26 +375,5 @@ TEST(FleetMonitor, RejectIsAbsorbing) {
   EXPECT_EQ(monitor.finalize().votes_total, 3u);
 }
 
-// --- deprecated pre-SequentialTester shims (kept one release) ---
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(FleetMonitor, DeprecatedShimsForwardToReportQueue) {
-  FleetMonitor monitor(basic_config());
-  EXPECT_FALSE(monitor.epoch_ready());
-  EXPECT_THROW(monitor.end_epoch(), std::logic_error);
-  const core::AliasSampler sampler(core::uniform(1 << 14));
-  stats::Xoshiro256 rng(8);
-  for (std::uint32_t node = 0; node < 2048; ++node) {
-    for (std::uint64_t i = 0; i < monitor.window_size(); ++i) {
-      monitor.observe(node, sampler.sample(rng));
-    }
-  }
-  EXPECT_TRUE(monitor.epoch_ready());
-  EXPECT_EQ(monitor.end_epoch().epoch, 1u);
-  EXPECT_FALSE(monitor.epoch_ready());
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace dut::monitor

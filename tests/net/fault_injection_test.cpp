@@ -158,7 +158,8 @@ std::vector<std::uint64_t> faulted_sweep(const Graph& g, const FaultPlan& plan,
       out[i] = driver.run_trial(
           1000 + i, /*traced=*/false,
           [&](std::uint32_t) { return std::make_unique<ChatterProgram>(4); },
-          [&](const auto& programs, const EngineMetrics& metrics) {
+          [&](const auto& programs, const EngineMetrics& metrics,
+              Transport&) {
             std::uint64_t digest = metrics.faults.total();
             for (const auto& p : programs) {
               digest = digest * 31 + p->digest();

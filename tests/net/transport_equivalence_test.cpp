@@ -90,9 +90,8 @@ void expect_equal(const ToyResult& a, const ToyResult& b) {
 constexpr std::uint64_t kRounds = 6;
 
 /// Trial flags on the session wire: 0 = clean, v+1 = node v poisons.
-ToyResult run_toy_trial(ProtocolDriver& driver, Transport* transport,
-                        const Graph& graph, std::uint64_t seed,
-                        std::uint64_t flags) {
+ToyResult run_toy_trial(ProtocolDriver& driver, const Graph& graph,
+                        std::uint64_t seed, std::uint64_t flags) {
   const std::uint32_t k = graph.num_nodes();
   return driver.run_trial(
       seed, false, {},
@@ -100,20 +99,17 @@ ToyResult run_toy_trial(ProtocolDriver& driver, Transport* transport,
         return std::make_unique<EchoSum>(k, kRounds,
                                          flags != 0 && v == flags - 1);
       },
-      [&](const auto& programs, const EngineMetrics& metrics) {
+      [&](const auto& programs, const EngineMetrics& metrics,
+          Transport& transport) {
         ToyResult result;
         result.metrics = metrics;
-        if (transport == nullptr) {
-          for (const auto& program : programs) result.sum += program->total();
-          return result;
-        }
-        const auto [first, last] = transport->shard(k);
+        const auto [first, last] = transport.shard(k);
         std::uint64_t local = 0;
         for (std::uint32_t v = first; v < last; ++v) {
           local += programs[v]->total();
         }
         std::vector<std::uint64_t> all;
-        transport->exchange_summaries(
+        transport.exchange_summaries(
             std::span<const std::uint64_t>(&local, 1), all);
         for (const std::uint64_t part : all) result.sum += part;
         return result;
@@ -141,8 +137,7 @@ class ShardedToyHarness {
   ToyResult run(std::uint64_t seed, std::uint64_t flags = 0) {
     const std::uint64_t seq = session_.begin_trial(seed, flags);
     try {
-      ToyResult result =
-          run_toy_trial(driver_, &transport_, graph_, seed, flags);
+      ToyResult result = run_toy_trial(driver_, graph_, seed, flags);
       session_.post_ready(0, seq);
       return result;
     } catch (const TransportAborted&) {
@@ -178,8 +173,7 @@ class ShardedToyHarness {
       if (trial.shutdown) return;
       last_seq = trial.seq;
       try {
-        (void)run_toy_trial(worker_driver, &transport, graph_, trial.seed,
-                            trial.flags);
+        (void)run_toy_trial(worker_driver, graph_, trial.seed, trial.flags);
       } catch (const TransportAborted&) {
       } catch (const ProtocolViolation&) {
         // The engine already published the abort code on its unwind path.
@@ -210,7 +204,7 @@ TEST(TransportEquivalence, ShmMatchesInProcBitForBit) {
   for (const std::uint32_t num_ranks : {2u, 3u, 4u}) {
     ShardedToyHarness sharded(g, kToyConfig, num_ranks, nullptr);
     for (std::uint64_t seed = 40; seed < 44; ++seed) {
-      const ToyResult a = run_toy_trial(inproc, nullptr, g, seed, 0);
+      const ToyResult a = run_toy_trial(inproc, g, seed, 0);
       const ToyResult b = sharded.run(seed);
       expect_equal(a, b);
       EXPECT_GT(b.sum, 0u);
@@ -229,7 +223,7 @@ TEST(TransportEquivalence, RateZeroFaultPlanMatchesInProc) {
   inproc.set_fault_plan(plan);
   ShardedToyHarness sharded(g, kToyConfig, 3, &plan);
   for (std::uint64_t seed = 80; seed < 84; ++seed) {
-    const ToyResult a = run_toy_trial(inproc, nullptr, g, seed, 0);
+    const ToyResult a = run_toy_trial(inproc, g, seed, 0);
     const ToyResult b = sharded.run(seed);
     expect_equal(a, b);
     EXPECT_EQ(b.metrics.faults.total(), 0u);
@@ -248,7 +242,7 @@ TEST(TransportEquivalence, CrashScheduleMatchesInProc) {
   inproc.set_fault_plan(plan);
   ShardedToyHarness sharded(g, kToyConfig, 3, &plan);
   for (std::uint64_t seed = 60; seed < 63; ++seed) {
-    const ToyResult a = run_toy_trial(inproc, nullptr, g, seed, 0);
+    const ToyResult a = run_toy_trial(inproc, g, seed, 0);
     const ToyResult b = sharded.run(seed);
     expect_equal(a, b);
     EXPECT_EQ(b.metrics.faults.crashes, 1u);
@@ -271,7 +265,7 @@ TEST(TransportEquivalence, ViolationAbortsEveryRankAndRecovers) {
   // Recovery: the pooled engines and the session serve the next trials
   // cleanly, still bit-identical to in-proc.
   for (std::uint64_t seed = 20; seed < 23; ++seed) {
-    const ToyResult a = run_toy_trial(inproc, nullptr, g, seed, 0);
+    const ToyResult a = run_toy_trial(inproc, g, seed, 0);
     const ToyResult b = sharded.run(seed);
     expect_equal(a, b);
   }

@@ -269,7 +269,6 @@ struct CongestRun {
   std::string family;
   std::uint64_t trials;
   std::uint64_t seed;
-  bool resilient;
   std::optional<net::FaultPlan> faults;
   congest::CongestResilience resilience;
 };
@@ -287,14 +286,12 @@ CongestRun make_congest_run(const Args& args) {
                  args.text("family", "uniform"),
                  args.integer("trials", 20),
                  args.integer("seed", 1),
-                 false,
                  std::nullopt,
                  congest::CongestResilience{}};
-  run.resilient = !fault_spec.empty() || args.flag("quorum") ||
-                  args.flag("retransmits");
-  if (run.resilient) {
+  run.resilience.enabled = !fault_spec.empty() || args.flag("quorum") ||
+                           args.flag("retransmits");
+  if (run.resilience.enabled) {
     run.faults = net::FaultPlan::parse(fault_spec);
-    run.resilience.enabled = true;
     run.resilience.retransmits = args.integer("retransmits", 2);
     run.resilience.quorum_nodes = args.integer("quorum", 0);
   }
@@ -327,12 +324,13 @@ void print_congest_summary(const CongestRun& run,
     rounds = r.metrics.rounds;
   }
   std::printf("family=%s  L1(mu,U)=%.3f  protocol=%s\n", run.family.c_str(),
-              run.mu.l1_to_uniform(), run.resilient ? "resilient" : "plain");
+              run.mu.l1_to_uniform(),
+              run.resilience.enabled ? "resilient" : "plain");
   std::printf("network rejected %llu / %llu runs  (last run: %llu rounds)\n",
               static_cast<unsigned long long>(rejects),
               static_cast<unsigned long long>(rs.size()),
               static_cast<unsigned long long>(rounds));
-  if (run.resilient) {
+  if (run.resilience.enabled) {
     std::printf("quorum missed in %llu runs; %llu faults injected in total\n",
                 static_cast<unsigned long long>(quorum_misses),
                 static_cast<unsigned long long>(faults_injected));
@@ -405,25 +403,15 @@ int run_congest_cmd(const Args& args, const char* exe,
     return 1;
   }
   const core::AliasSampler sampler(run.mu);
+  congest::CongestSetup setup = congest::make_congest_setup(
+      run.plan, run.graph, run.resilience,
+      run.faults.has_value() ? &*run.faults : nullptr);
 
   std::vector<congest::CongestRunResult> results;
   results.reserve(run.trials);
-  if (run.resilient) {
-    congest::CongestSetup setup = congest::make_congest_setup(
-        run.plan, run.graph, run.resilience, &*run.faults);
-    for (std::uint64_t t = 0; t < run.trials; ++t) {
-      results.push_back(congest::run_congest_uniformity(run.plan, setup,
-                                                        sampler,
-                                                        run.seed + t));
-    }
-  } else {
-    net::ProtocolDriver driver =
-        congest::make_congest_driver(run.plan, run.graph);
-    for (std::uint64_t t = 0; t < run.trials; ++t) {
-      results.push_back(congest::run_congest_uniformity(run.plan, driver,
-                                                        sampler,
-                                                        run.seed + t));
-    }
+  for (std::uint64_t t = 0; t < run.trials; ++t) {
+    results.push_back(congest::run_congest_uniformity(run.plan, setup,
+                                                      sampler, run.seed + t));
   }
   print_congest_summary(run, results);
   return 0;

@@ -287,39 +287,4 @@ std::string sarif_report(const LintResult& result, const BaselineDiff& diff);
 /// empty means valid. Throws std::runtime_error on malformed JSON.
 std::vector<std::string> sarif_validate(std::string_view json_text);
 
-// --- Incremental cache (cache.cpp) ----------------------------------------
-// Entries are keyed by (file content hash, rule-set hash). Because several
-// passes are cross-TU (verdict producers, seed taint, the census), any
-// stale file downgrades the run to a full rescan — per-file reuse of
-// findings would be unsound when another file's declarations changed. The
-// warm path (nothing changed) skips scrubbing, tokenization and every rule.
-
-/// FNV-1a 64-bit; the cache's content hash.
-std::uint64_t fnv1a64(std::string_view bytes);
-
-/// Hash over the rule table (names + summaries + cache schema version):
-/// any rule change invalidates every cache entry.
-std::uint64_t ruleset_hash();
-
-struct CacheStats {
-  std::size_t hits = 0;    ///< files whose content hash matched the cache
-  std::size_t misses = 0;  ///< changed, added (or removed) files
-  bool full_scan = true;   ///< rules actually ran (any miss forces this)
-  bool corrupt = false;    ///< cache file was unreadable; fell back cleanly
-};
-
-/// One source file handed to the cached entry point.
-struct SourceText {
-  std::string rel_path;
-  std::string contents;
-};
-
-/// Runs the full lint over `sources`, consulting/refreshing the cache at
-/// `cache_path` (empty path disables caching entirely). On a warm hit the
-/// cached LintResult is returned verbatim; otherwise scans everything and
-/// rewrites the cache (best-effort; write failures never fail the lint).
-LintResult lint_corpus_cached(const std::vector<SourceText>& sources,
-                              const std::string& cache_path,
-                              CacheStats* stats);
-
 }  // namespace dut::lint

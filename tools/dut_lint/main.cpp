@@ -2,20 +2,15 @@
 // lint_repo_sarif and smoke_lint ctest entries).
 //
 //   dut_lint [--root DIR] [--baseline FILE] [--write-baseline] [--json]
-//            [--sarif FILE] [--cache FILE] [--list-rules] [--explain RULE]
-//            [--validate-sarif FILE] [--selftest-cache] [paths...]
+//            [--sarif FILE] [--list-rules] [--explain RULE]
+//            [--validate-sarif FILE] [paths...]
 //
 // Scans the given files/directories (default: src bench tests tools
 // examples) under --root (default: cwd). Exit code 0 when every finding is
 // suppressed or baselined, 1 when new findings exist, 2 on usage/IO errors.
 //
-// --cache FILE consults/refreshes the incremental cache (all-or-nothing,
-// see cache.cpp); --selftest-cache proves the warm path is >= 5x faster
-// than cold with identical findings, which lint_cache_selftest gates.
 // --validate-sarif FILE structurally checks a SARIF 2.1.0 log and exits.
 
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -23,17 +18,15 @@
 #include <string>
 #include <vector>
 
-#include "dut/obs/phase_timer.hpp"
 #include "dut_lint/lint.hpp"
 
 namespace {
 
 int usage(std::ostream& out, int code) {
   out << "usage: dut_lint [--root DIR] [--baseline FILE] [--write-baseline]\n"
-         "                [--json] [--sarif FILE] [--cache FILE]\n"
+         "                [--json] [--sarif FILE]\n"
          "                [--list-rules] [--explain RULE]\n"
-         "                [--validate-sarif FILE] [--selftest-cache]\n"
-         "                [paths...]\n";
+         "                [--validate-sarif FILE] [paths...]\n";
   return code;
 }
 
@@ -80,63 +73,6 @@ int validate_sarif_file(const std::string& path) {
   return 1;
 }
 
-/// Cold-vs-warm cache benchmark over the already-loaded sources. Each mode
-/// runs twice and takes the faster run, which irons out first-touch noise.
-int selftest_cache(const std::vector<dut::lint::SourceText>& sources,
-                   const std::string& cache_path) {
-  using dut::lint::CacheStats;
-  using dut::lint::LintResult;
-  namespace fs = std::filesystem;
-
-  const auto timed_run = [&](bool cold, CacheStats& stats,
-                             LintResult& result) {
-    double best = 1e30;
-    for (int iter = 0; iter < 2; ++iter) {
-      if (cold) fs::remove(cache_path);
-      const dut::obs::StopWatch watch;
-      result = dut::lint::lint_corpus_cached(sources, cache_path, &stats);
-      best = std::min(best, watch.seconds());
-    }
-    return best;
-  };
-
-  CacheStats cold_stats, warm_stats;
-  LintResult cold_result, warm_result;
-  const double cold = timed_run(true, cold_stats, cold_result);
-  const double warm = timed_run(false, warm_stats, warm_result);
-
-  const auto signature = [](const LintResult& r) {
-    return dut::lint::result_json(
-        r, dut::lint::diff_baseline(r.findings, {}));
-  };
-
-  bool ok = true;
-  if (!cold_stats.full_scan || cold_stats.hits != 0) {
-    std::cerr << "selftest: cold run unexpectedly hit the cache\n";
-    ok = false;
-  }
-  if (warm_stats.full_scan || warm_stats.misses != 0 ||
-      warm_stats.hits != sources.size()) {
-    std::cerr << "selftest: warm run was not a pure cache hit (hits="
-              << warm_stats.hits << " misses=" << warm_stats.misses << ")\n";
-    ok = false;
-  }
-  if (signature(cold_result) != signature(warm_result)) {
-    std::cerr << "selftest: warm findings differ from cold findings\n";
-    ok = false;
-  }
-  if (warm * 5.0 > cold) {
-    std::cerr << "selftest: warm run not >=5x faster than cold\n";
-    ok = false;
-  }
-  std::printf(
-      "dut_lint cache selftest: cold %.3fs (%zu files), warm %.3fs "
-      "(%.1fx), findings %zu — %s\n",
-      cold, sources.size(), warm, warm > 0 ? cold / warm : 0.0,
-      cold_result.findings.size(), ok ? "OK" : "FAIL");
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -144,12 +80,10 @@ int main(int argc, char** argv) {
   std::filesystem::path root = std::filesystem::current_path();
   std::string baseline_path;
   std::string sarif_path;
-  std::string cache_path;
   std::string validate_path;
   std::string explain;
   bool write_baseline = false;
   bool json_output = false;
-  bool run_selftest = false;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
@@ -160,8 +94,6 @@ int main(int argc, char** argv) {
       baseline_path = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (arg == "--validate-sarif" && i + 1 < argc) {
       validate_path = argv[++i];
     } else if (arg == "--explain" && i + 1 < argc) {
@@ -170,8 +102,6 @@ int main(int argc, char** argv) {
       write_baseline = true;
     } else if (arg == "--json") {
       json_output = true;
-    } else if (arg == "--selftest-cache") {
-      run_selftest = true;
     } else if (arg == "--list-rules") {
       for (const RuleInfo& r : rule_table()) {
         std::cout << r.name << "\n    " << r.summary << "\n    -> "
@@ -196,22 +126,11 @@ int main(int argc, char** argv) {
     if (!validate_path.empty()) return validate_sarif_file(validate_path);
 
     root = std::filesystem::absolute(root);
-    std::vector<SourceText> sources;
+    std::vector<ScannedFile> files;
     for (const std::filesystem::path& p : collect_sources(root, paths)) {
-      sources.push_back({rel_to(root, p), read_file(p)});
+      files.push_back(scan_file(rel_to(root, p), read_file(p)));
     }
-
-    if (run_selftest) {
-      if (cache_path.empty()) {
-        std::cerr << "dut_lint: --selftest-cache needs --cache FILE\n";
-        return 2;
-      }
-      return selftest_cache(sources, cache_path);
-    }
-
-    CacheStats cache_stats;
-    const LintResult result =
-        lint_corpus_cached(sources, cache_path, &cache_stats);
+    const LintResult result = run_lint(files);
 
     std::vector<BaselineEntry> baseline;
     if (!baseline_path.empty() && !write_baseline) {
@@ -270,15 +189,6 @@ int main(int argc, char** argv) {
       std::cout << result_json(result, diff);
     } else {
       std::cout << human_report(result, diff);
-      if (!cache_path.empty()) {
-        std::cout << "dut_lint: cache " << (cache_stats.full_scan
-                                                ? "cold"
-                                                : "warm")
-                  << " (" << cache_stats.hits << " hits, "
-                  << cache_stats.misses << " misses"
-                  << (cache_stats.corrupt ? ", corrupt cache rebuilt" : "")
-                  << ")\n";
-      }
     }
     return diff.fresh.empty() ? 0 : 1;
   } catch (const std::exception& e) {

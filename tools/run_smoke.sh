@@ -10,11 +10,12 @@
 #        run_smoke.sh --lint <dut_lint-binary> <repo-root>
 #        run_smoke.sh --sarif <dut_lint-binary> <repo-root>
 #        run_smoke.sh --serve <dut_cli-binary>
+#        run_smoke.sh --workers <dut_cli-binary>
 # Registered per experiment as the smoke_* ctest entries (bench/CMakeLists);
 # --replay additionally re-executes the transcript with dut_replay and
 # byte-diffs it (the smoke_replay entries); the --lint mode is the
-# smoke_lint entry (tools/dut_lint/CMakeLists); the --serve mode is the
-# smoke_serve entry (tools/CMakeLists).
+# smoke_lint entry (tools/dut_lint/CMakeLists); the --serve and --workers
+# modes are the smoke_serve and smoke_cli_workers entries (tools/CMakeLists).
 set -euo pipefail
 
 # Serve mode: the `dut_cli serve` output is a pure function of its flags
@@ -45,6 +46,39 @@ if [ "${1:-}" = "--serve" ]; then
   fi
   echo "$serial" | grep '^verdict digest:'
   echo "smoke: serve verdict stream identical across threads and shards"
+  exit 0
+fi
+
+# Workers mode: `dut_cli run-congest --workers 2` takes the exec-spawned
+# worker path (spawn_worker_processes re-executes dut_cli, each worker opens
+# the named shm session) and must print exactly what the single-process run
+# prints, apart from its "sharded over" banner. Both flag sets of the
+# cli_run_congest and cli_run_congest_faults entries are checked, so the
+# resilient protocol's quorum and fault tallies must match too.
+if [ "${1:-}" = "--workers" ]; then
+  if [ "$#" -ne 2 ]; then
+    echo "usage: $0 --workers <dut_cli-binary>" >&2
+    exit 2
+  fi
+  dut_cli=$2
+  check_workers() {
+    local name=$1
+    shift
+    local single sharded
+    single=$("$dut_cli" run-congest "$@")
+    sharded=$("$dut_cli" run-congest "$@" --workers 2 \
+      | grep -v '^sharded over')
+    if [ "$single" != "$sharded" ]; then
+      echo "smoke: run-congest ($name) output diverged under --workers 2" >&2
+      diff <(echo "$single") <(echo "$sharded") >&2 || true
+      exit 1
+    fi
+  }
+  check_workers plain --n 4096 --k 1024 --eps 1.6 --topology ring \
+    --family paninski --trials 5
+  check_workers faults --n 4096 --k 1024 --eps 1.6 --topology ring \
+    --trials 5 --faults drop=0.02,dup=0.01,crash=3@0 --quorum 1000
+  echo "smoke: run-congest output identical with and without --workers 2"
   exit 0
 fi
 
