@@ -196,10 +196,21 @@ class TokenPackagingProgram : public net::NodeProgram {
     kVerdict = 6,
   };
 
+  /// What upward_slot sends to the parent on this node's next step.
+  enum class Upward { kIdle, kCValue, kToken, kReport };
+
   void process_inbox(net::NodeContext& ctx);
   void phase_one(net::NodeContext& ctx);
   void begin_phase_two(net::NodeContext& ctx);
   void upward_slot(net::NodeContext& ctx);
+  /// The one predicate behind both upward_slot and the plain-mode sleep
+  /// decision, so the two cannot drift apart.
+  Upward next_upward() const noexcept;
+  /// A held token is still owed upward (discarded at the root).
+  bool has_token_to_forward() const noexcept {
+    return !packaged_ && tokens_forwarded_ < *c_value_ &&
+           tokens_forwarded_ < token_store_.size();
+  }
   void try_package(net::NodeContext& ctx);
   void finish(net::NodeContext& ctx, std::uint64_t verdict);
 

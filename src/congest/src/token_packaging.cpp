@@ -127,6 +127,12 @@ void TokenPackagingProgram::on_round(net::NodeContext& ctx) {
       }
     }
   }
+  // The plain protocol is message-driven except for the upward pipeline:
+  // every other phase acts in the step whose inbox enabled it, so a step
+  // with an empty inbox only matters while upward_slot has something to
+  // send. Resilient mode keeps polling for its retransmissions and
+  // absolute-round timeouts.
+  if (!resil_.enabled && next_upward() == Upward::kIdle) ctx.sleep();
   if (resil_.enabled) {
     flush_slots(ctx);
     if (done_) {
@@ -299,41 +305,56 @@ void TokenPackagingProgram::upward_slot(net::NodeContext& ctx) {
 
   if (parent_ == kNoParent) {
     // Root: "forwarding" means discarding; costs no communication.
-    while (!packaged_ && tokens_forwarded_ < *c_value_ &&
-           tokens_forwarded_ < token_store_.size()) {
-      ++tokens_forwarded_;
-    }
+    while (has_token_to_forward()) ++tokens_forwarded_;
     return;
   }
 
-  // One upward message per round: c-value first, then tokens, then the
-  // report (order matters for the CONGEST budget and for correctness).
-  if (!c_sent_) {
-    net::Message msg = make(kCValue);
-    msg.push_field(*c_value_, widths_.count_bits);
-    emit(ctx, parent_, msg);
-    c_sent_ = true;
-    return;
-  }
-  if (!packaged_ && tokens_forwarded_ < *c_value_ &&
-      tokens_forwarded_ < token_store_.size()) {
-    net::Message msg = make(kToken);
-    msg.push_field(token_store_[tokens_forwarded_], widths_.token_bits);
-    emit(ctx, parent_, msg);
-    ++tokens_forwarded_;
-    return;
-  }
-  if (packaged_ && !report_sent_ && reports_received_ == children_.size()) {
-    net::Message msg = make(kReport);
-    msg.push_field(clamp_count(report_sum_), widths_.count_bits);
-    if (resil_.enabled) {
-      msg.push_field(clamp_count(1 + covered_sum_), widths_.count_bits);
-      msg.push_field(clamp_count(formed_sum_ + packages_.size()),
-                     widths_.count_bits);
+  switch (next_upward()) {
+    case Upward::kCValue: {
+      net::Message msg = make(kCValue);
+      msg.push_field(*c_value_, widths_.count_bits);
+      emit(ctx, parent_, msg);
+      c_sent_ = true;
+      return;
     }
-    emit(ctx, parent_, msg);
-    report_sent_ = true;
+    case Upward::kToken: {
+      net::Message msg = make(kToken);
+      msg.push_field(token_store_[tokens_forwarded_], widths_.token_bits);
+      emit(ctx, parent_, msg);
+      ++tokens_forwarded_;
+      return;
+    }
+    case Upward::kReport: {
+      net::Message msg = make(kReport);
+      msg.push_field(clamp_count(report_sum_), widths_.count_bits);
+      if (resil_.enabled) {
+        msg.push_field(clamp_count(1 + covered_sum_), widths_.count_bits);
+        msg.push_field(clamp_count(formed_sum_ + packages_.size()),
+                       widths_.count_bits);
+      }
+      emit(ctx, parent_, msg);
+      report_sent_ = true;
+      return;
+    }
+    case Upward::kIdle:
+      return;
   }
+}
+
+TokenPackagingProgram::Upward TokenPackagingProgram::next_upward()
+    const noexcept {
+  // One upward message per round: c-value first, then tokens, then the
+  // report (order matters for the CONGEST budget and for correctness). The
+  // root sends nothing upward.
+  if (!started_ || done_ || !c_value_ || parent_ == kNoParent) {
+    return Upward::kIdle;
+  }
+  if (!c_sent_) return Upward::kCValue;
+  if (has_token_to_forward()) return Upward::kToken;
+  if (packaged_ && !report_sent_ && reports_received_ == children_.size()) {
+    return Upward::kReport;
+  }
+  return Upward::kIdle;
 }
 
 void TokenPackagingProgram::try_package(net::NodeContext& ctx) {

@@ -8,6 +8,15 @@
 // fully deterministic given (graph, seed, programs): nodes execute in id
 // order and each node's RNG is the derived stream (seed, node id).
 //
+// Rounds are event-driven. A program that calls NodeContext::sleep()
+// declares that a step with an empty inbox would do nothing, and the
+// engine skips the node until a message reaches it. Each round therefore
+// steps last round's non-sleepers plus this round's receivers, in
+// ascending id order; a program that never sleeps is stepped every round
+// it is live. Since a skipped step is by contract a no-op, sleeping
+// changes no transcript, metric or result — only the work per round, which
+// falls from O(live nodes) to O(woken nodes + messages).
+//
 // Model enforcement is loud:
 //  * CONGEST: any message whose declared size exceeds the bandwidth budget
 //    throws BandwidthExceeded; a second message on the same directed edge in
@@ -20,10 +29,12 @@
 // Delivery: messages in flight live behind a net::Transport
 // (dut/net/transport/transport.hpp). The default backend is the engine's
 // own InProcTransport — a flat payload slab plus a flat record array per
-// direction, flipped at each round boundary with a stable counting sort by
-// destination that yields CSR inbox ranges. Programs read their inbox
-// through MessageView windows into the slab, so a round costs
-// O(messages + fields) with zero per-message allocation, and the buffers'
+// direction (detail::RoundArena), flipped at each round boundary by a
+// stable scatter that gives each receiver its CSR inbox range and touches
+// no other node. The transport lists the round's receivers, which is how
+// the engine finds the sleepers to wake. Programs read their inbox through
+// MessageView windows into the slab, so a round costs O(messages + fields
+// + receivers) with zero per-message allocation, and the buffers'
 // capacity persists both across rounds and across run() calls. That makes
 // an Engine cheaply re-runnable: run(programs, seed) fully resets round
 // state and metrics, so one engine per worker thread amortizes all
@@ -47,7 +58,10 @@
 // contains the offending round. Aggregate counters and per-round
 // message/bit histograms land in the obs metrics registry under "net.*"
 // (per-round histograms cover this rank's shard; everything derived from
-// EngineMetrics is global).
+// EngineMetrics is global). net.node_steps counts on_round calls and
+// net.live_node_rounds what a polling engine would have stepped (the
+// per-round sum of live nodes); both are shard-local, and their ratio is
+// the share of work event-driven rounds still do.
 
 #include <cstddef>
 #include <cstdint>
@@ -130,6 +144,7 @@ class NodeContext {
 
   /// Messages delivered this round (sent by neighbors last round). The views
   /// point into the transport's round arena and expire when the round ends.
+  /// Empty when the engine steps the node only because it did not sleep.
   InboxView inbox() const noexcept { return inbox_; }
 
   /// Queues `msg` for delivery to `neighbor` next round. `neighbor` must be
@@ -143,7 +158,16 @@ class NodeContext {
   stats::Xoshiro256& rng() noexcept { return *rng_; }
 
   /// Marks the node as finished; on_round will not be called again.
-  void halt() noexcept { *halted_ = true; }
+  void halt() noexcept { halted_ = true; }
+
+  /// Declares that stepping this node with an empty inbox would do nothing
+  /// (no send, no halt, no RNG draw, no state change). The engine then
+  /// skips the node until a message reaches it and steps it in the round
+  /// that message is delivered. The declaration covers one step: a woken
+  /// node that has nothing left to do calls sleep() again. A node that
+  /// sleeps forever without halting still counts as active, so the run
+  /// ends with RoundLimitExceeded as it would under polling.
+  void sleep() noexcept { asleep_ = true; }
 
  private:
   friend class Engine;
@@ -155,15 +179,17 @@ class NodeContext {
   std::span<const std::uint32_t> neighbors_;
   InboxView inbox_;
   stats::Xoshiro256* rng_ = nullptr;
-  bool* halted_ = nullptr;
+  bool halted_ = false;
+  bool asleep_ = false;
 };
 
 /// A distributed algorithm, instantiated once per node.
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
-  /// Called once per round (including round 0, with an empty inbox) until
-  /// the node halts via ctx.halt().
+  /// Called in round 0 (with an empty inbox) and then in every round until
+  /// the node halts via ctx.halt() — except the rounds it sleeps through
+  /// (ctx.sleep()), which end when a message reaches it.
   virtual void on_round(NodeContext& ctx) = 0;
 };
 
@@ -281,6 +307,12 @@ class Engine : private TransportHooks {
   /// set_transport attached another one.
   std::unique_ptr<InProcTransport> inproc_;
   Transport* transport_ = nullptr;
+
+  /// The woken set. awake_ lists, ascending, the shard nodes whose last
+  /// step neither slept nor halted; each round steps awake_ ∪ the
+  /// transport's receivers (merged into stepping_) and rebuilds awake_.
+  std::vector<std::uint32_t> awake_;
+  std::vector<std::uint32_t> stepping_;
 
   /// Sorted adjacency in CSR layout (the graph's own lists are not sorted):
   /// node v's neighbors, ascending, occupy sorted_adj_[edge_offset_[v],

@@ -1,22 +1,22 @@
 #pragma once
 
-// InProcTransport: the single-process round arena, extracted verbatim from
-// the pre-seam net::Engine so single-process runs stay bit-identical and
-// zero-copy.
+// InProcTransport: the single-process delivery backend — the engine's
+// default, zero-copy for programs.
 //
-// Sends append to the pending side (records in send order, fields packed
-// into the payload slab); flip_round() turns them into the delivered side
-// with a stable counting sort by destination that yields CSR inbox ranges.
-// All buffers are reused across rounds and runs, so a pooled engine's
-// delivery machinery stays allocation-free after warm-up. Delayed (fault-
-// injected) messages wait in the deferred buffers — payload in its own slab
-// so round flips never invalidate the offsets — until their due round.
+// Sends append to the pending side of a detail::RoundArena over the whole
+// node range; flip_round() injects the delayed (fault-injected) messages
+// that came due and flips the arena, which scatters the round's records
+// into CSR inbox ranges touching only the nodes that received something
+// (receivers() lists them, ascending, for the engine's woken set). All
+// buffers are reused across rounds and runs, so a pooled engine's delivery
+// machinery stays allocation-free after warm-up.
 
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "dut/net/transport/round_arena.hpp"
 #include "dut/net/transport/transport.hpp"
 
 namespace dut::net {
@@ -35,23 +35,28 @@ class InProcTransport final : public Transport {
   void begin_run(std::uint32_t num_nodes, bool fault_mode,
                  TransportHooks& hooks) override;
   void enqueue(const detail::ArenaRecord& rec,
-               std::span<const std::uint64_t> fields, bool duplicate) override;
+               std::span<const std::uint64_t> fields, bool duplicate) override {
+    arena_.push(rec, fields, duplicate);
+  }
   void enqueue_delayed(const detail::ArenaRecord& rec,
                        std::span<const std::uint64_t> fields,
-                       std::uint64_t due_round, bool duplicate) override;
+                       std::uint64_t due_round, bool duplicate) override {
+    arena_.defer(rec, fields, due_round, duplicate);
+  }
   void flip_round(std::uint64_t round) override;
   std::uint64_t sync_active(std::uint64_t local_active) override {
     return local_active;
   }
   InboxView inbox(std::uint32_t node) const noexcept override {
-    return InboxView(delivered_records_.data() + inbox_offset_[node],
-                     inbox_offset_[node + 1] - inbox_offset_[node],
-                     delivered_payload_.data());
+    return arena_.inbox(node);
+  }
+  std::span<const std::uint32_t> receivers() const noexcept override {
+    return arena_.receivers();
   }
   std::uint32_t pending_to(std::uint32_t node) const noexcept override {
-    return pending_count_[node];
+    return arena_.pending_to(node);
   }
-  bool has_undelivered() const override { return !pending_records_.empty(); }
+  bool has_undelivered() const override { return arena_.has_pending(); }
   void settle_run(std::uint64_t round) override;
   void reduce_metrics(EngineMetrics&) override {}
   void exchange_summaries(std::span<const std::uint64_t> local,
@@ -61,30 +66,9 @@ class InProcTransport final : public Transport {
   void abort_run(TransportAbortCode) noexcept override {}
 
  private:
-  /// Moves deferred (delayed) messages whose due round has arrived into the
-  /// pending arena, ahead of the counting sort; copies destined to
-  /// now-halted nodes are discarded as `expired`.
-  void inject_deferred(std::uint64_t round);
-
-  struct DeferredRecord {
-    detail::ArenaRecord rec;
-    std::uint64_t due_round = 0;
-  };
-
-  std::uint32_t num_nodes_ = 0;
   bool fault_mode_ = false;
   TransportHooks* hooks_ = nullptr;
-
-  std::vector<detail::ArenaRecord> pending_records_;
-  std::vector<std::uint64_t> pending_payload_;
-  std::vector<detail::ArenaRecord> delivered_records_;
-  std::vector<std::uint64_t> delivered_payload_;
-  std::vector<std::uint32_t> pending_count_;  // per-node queued messages
-  std::vector<std::size_t> inbox_offset_;     // size num_nodes + 1
-  std::vector<std::size_t> cursor_;           // counting-sort scratch
-
-  std::vector<DeferredRecord> deferred_records_;
-  std::vector<std::uint64_t> deferred_payload_;
+  detail::RoundArena arena_;
 };
 
 }  // namespace dut::net

@@ -3,14 +3,16 @@
 // ShmTransport: multi-process delivery backend. Each rank process owns a
 // contiguous node shard and runs its own Engine over the shared graph; at
 // every round flip the ranks exchange per-peer message batches through the
-// session's shared-memory rings and rebuild their local inboxes with the
-// same stable counting sort the in-process arena uses.
+// session's shared-memory rings and splice them into a shard-sized
+// detail::RoundArena — the same arena InProcTransport delivers through, so
+// the flip touches only this shard's receivers and deferred messages are
+// injected by the same code.
 //
 // Determinism (DESIGN.md §14 carries the full argument): shards are
 // contiguous ascending id ranges and every rank executes its nodes in id
 // order, so splicing per-rank batches in rank order — this rank's own
 // staging at its own rank slot — reproduces the global in-process send
-// order exactly; the stable sort then yields bit-identical inbox orders,
+// order exactly; the stable scatter then yields bit-identical inbox orders,
 // and all randomness is keyed on (seed, node) or (fault key, round, edge),
 // never on rank. The engine-visible divergences are confined to fault-mode
 // bookkeeping of cross-rank sends to halted nodes (classified/timed at the
@@ -22,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "dut/net/transport/round_arena.hpp"
 #include "dut/net/transport/shm_session.hpp"
 #include "dut/net/transport/transport.hpp"
 
@@ -54,17 +57,16 @@ class ShmTransport final : public Transport {
   void flip_round(std::uint64_t round) override;
   std::uint64_t sync_active(std::uint64_t local_active) override;
   InboxView inbox(std::uint32_t node) const noexcept override {
-    return InboxView(
-        delivered_records_.data() + inbox_offset_[node - shard_first_],
-        inbox_offset_[node - shard_first_ + 1] -
-            inbox_offset_[node - shard_first_],
-        delivered_payload_.data());
+    return arena_.inbox(node);
+  }
+  std::span<const std::uint32_t> receivers() const noexcept override {
+    return arena_.receivers();
   }
   std::uint32_t pending_to(std::uint32_t node) const noexcept override {
-    // Shard-local by design: counts only messages this rank itself queued
-    // for `node` this round (cross-rank sends are invisible until the next
-    // flip — see the §14 divergence notes).
-    return pending_count_[node - shard_first_];
+    // Every send stays staged until the flip fills the arena, so between
+    // flips this reads 0: the engine's halted-with-queued-messages check
+    // never fires on this backend (a divergence from InProcTransport).
+    return arena_.pending_to(node);
   }
   bool has_undelivered() const override {
     return !local_records_.empty() || !remote_records_.empty();
@@ -84,10 +86,6 @@ class ShmTransport final : public Transport {
     bool delayed;
     bool duplicate;
   };
-  struct DeferredRecord {
-    detail::ArenaRecord rec;    // payload_begin indexes deferred_payload_
-    std::uint64_t due_round;
-  };
 
   std::uint32_t owner_of(std::uint32_t node) const noexcept;
   /// Serializes this round's staged records for peer `peer` into out.
@@ -96,23 +94,22 @@ class ShmTransport final : public Transport {
   /// Pushes all outgoing batches and drains all incoming ones, interleaved
   /// so oversized batches can never deadlock a rank pair.
   void pump_rings(std::uint64_t round);
-  /// Splices one rank's fresh records (own staging or a decoded batch) into
-  /// the pending arena / deferred list, in that rank's send order.
+  /// Splices one rank's records (own staging or a decoded batch) into the
+  /// arena — fresh ones pending, delayed ones deferred — in that rank's
+  /// send order.
   void merge_own_staging();
   void merge_peer_batch(std::uint32_t peer, std::uint64_t round);
-  void inject_deferred(std::uint64_t round);
-  void scatter_pending();
   void stage(const detail::ArenaRecord& rec,
              std::span<const std::uint64_t> fields, bool delayed,
              std::uint64_t due_round, bool duplicate);
-  /// Appends one decoded-or-local fresh record to the pending arena, with
-  /// the delivery-boundary halted check for records from remote senders.
-  /// `send_round` is the round the sender staged the record in (flip round
-  /// minus one); it anchors the halt-visibility compare so the check
-  /// matches the in-process send-site check exactly.
+  /// Pushes one decoded-or-local fresh record (and its duplicate) to the
+  /// arena, with the delivery-boundary halted check for records from
+  /// remote senders. `send_round` is the round the sender staged the record
+  /// in (flip round minus one); it anchors the halt-visibility compare so
+  /// the check matches the in-process send-site check exactly.
   void admit_fresh(const detail::ArenaRecord& rec,
-                   const std::uint64_t* fields, bool remote,
-                   std::uint64_t send_round);
+                   std::span<const std::uint64_t> fields, bool duplicate,
+                   bool remote, std::uint64_t send_round);
 
   ShmSession* session_;
   std::uint32_t rank_ = 0;
@@ -131,19 +128,9 @@ class ShmTransport final : public Transport {
   std::vector<StagedRecord> remote_records_;
   std::vector<std::uint64_t> staging_payload_;
 
-  // The delivered-side arena, indexed by (node - shard_first_): identical
-  // machinery to InProcTransport, shard-sized.
-  std::vector<detail::ArenaRecord> pending_records_;
-  std::vector<std::uint64_t> pending_payload_;
-  std::vector<detail::ArenaRecord> delivered_records_;
-  std::vector<std::uint64_t> delivered_payload_;
-  std::vector<std::uint32_t> pending_count_;
-  std::vector<std::size_t> inbox_offset_;
-  std::vector<std::size_t> cursor_;
-
-  // Delayed messages owned by this shard, in global deferred order.
-  std::vector<DeferredRecord> deferred_records_;
-  std::vector<std::uint64_t> deferred_payload_;
+  // The delivery arena over this shard; its deferred list holds the
+  // delayed messages owned by this shard, in global deferred order.
+  detail::RoundArena arena_;
 
   // Ring pump scratch.
   std::vector<std::vector<std::uint64_t>> out_batches_;   // per peer

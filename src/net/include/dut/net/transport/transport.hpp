@@ -5,13 +5,13 @@
 // The engine owns model enforcement (adjacency, duplicate-send guard,
 // bandwidth, budgets, fault draws) and node execution; everything about
 // *moving* a committed message to its destination inbox — the flat-slab
-// round arena, the counting-sort scatter, and (multi-process) the
+// round arena, the receivers-only scatter, and (multi-process) the
 // shared-memory exchange between rank shards — lives behind this interface.
 //
-// Two backends ship:
+// Two backends ship, and both build their inboxes through one
+// detail::RoundArena (dut/net/transport/round_arena.hpp):
 //  * InProcTransport (dut/net/transport/inproc.hpp): the single-process
-//    arena, extracted verbatim from the pre-seam engine so in-process runs
-//    stay bit-identical and zero-copy.
+//    arena over the whole node range, zero-copy for programs.
 //  * ShmTransport (dut/net/transport/shm_transport.hpp): each rank process
 //    owns a contiguous node shard and exchanges per-peer message batches
 //    through shared-memory rings in lockstep rounds.
@@ -19,7 +19,7 @@
 // Determinism contract across backends: node shards are contiguous
 // ascending id ranges and every rank executes its nodes in id order, so
 // concatenating per-rank batches in rank order reproduces the global
-// in-process send order; the stable counting sort by destination then
+// in-process send order; the arena's stable scatter by destination then
 // yields bit-identical inbox orders, and all seed/round/edge-keyed
 // randomness (per-node RNG streams, fault draws) is rank-independent by
 // construction. DESIGN.md §14 carries the full argument.
@@ -147,6 +147,10 @@ class Transport {
 
   /// Node `node`'s inbox for the current round (shard-local nodes only).
   virtual InboxView inbox(std::uint32_t node) const noexcept = 0;
+  /// The shard-local nodes whose inbox is non-empty this round, ascending
+  /// (valid until the next flip). The engine wakes them; every other inbox
+  /// is empty.
+  virtual std::span<const std::uint32_t> receivers() const noexcept = 0;
   /// Messages already queued this round for shard-local node `node` (the
   /// engine's halted-with-queued-messages termination check).
   virtual std::uint32_t pending_to(std::uint32_t node) const noexcept = 0;

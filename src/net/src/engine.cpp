@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <iterator>
+#include <numeric>
 #include <string>
 
 #include "dut/net/transport/inproc.hpp"
@@ -304,6 +306,11 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
   // a step counter suffices to pair the exchanges.
   std::uint64_t local_active = shard_last - shard_first;
   std::uint64_t active = transport_->sync_active(local_active);
+  // Everyone is stepped in round 0; sleepers drop out of awake_ afterwards.
+  awake_.resize(shard_last - shard_first);
+  std::iota(awake_.begin(), awake_.end(), shard_first);
+  std::uint64_t node_steps = 0;
+  std::uint64_t live_node_rounds = 0;
   try {
     while (active > 0) {
       if (current_round_ >= config_.max_rounds) {
@@ -340,10 +347,12 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
       }
       active = transport_->sync_active(local_active);
 
+      const std::span<const std::uint32_t> receivers =
+          transport_->receivers();
       if (active_sink_ != nullptr) {
         active_sink_->on_round(current_round_, active);
         if (trace_delivers_) {
-          for (std::uint32_t v = shard_first; v < shard_last; ++v) {
+          for (const std::uint32_t v : receivers) {
             for (const MessageView m : transport_->inbox(v)) {
               active_sink_->on_deliver(current_round_, m.sender, v, m.bits);
             }
@@ -353,7 +362,15 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
       const std::uint64_t messages_before = metrics_.messages;
       const std::uint64_t bits_before = metrics_.total_bits;
 
-      for (std::uint32_t v = shard_first; v < shard_last; ++v) {
+      // Step the woken set — last round's non-sleepers and this round's
+      // receivers — in ascending id order. Every other live node slept, so
+      // stepping it with its empty inbox would have done nothing.
+      stepping_.clear();
+      std::set_union(awake_.begin(), awake_.end(), receivers.begin(),
+                     receivers.end(), std::back_inserter(stepping_));
+      awake_.clear();
+      live_node_rounds += local_active;
+      for (const std::uint32_t v : stepping_) {
         if (halted_[v]) continue;
         NodeContext ctx;
         ctx.engine_ = this;
@@ -362,10 +379,9 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
         ctx.neighbors_ = graph_.neighbors(v);
         ctx.inbox_ = transport_->inbox(v);
         ctx.rng_ = &rngs_[v];
-        bool halted_flag = false;
-        ctx.halted_ = &halted_flag;
         programs[v]->on_round(ctx);
-        if (halted_flag) {
+        ++node_steps;
+        if (ctx.halted_) {
           halted_[v] = true;
           halt_key_[v] = halt_key_voluntary(current_round_, v);
           --local_active;
@@ -383,6 +399,8 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
             trace_violation("protocol", detail);
             throw ProtocolViolation(detail);
           }
+        } else if (!ctx.asleep_) {
+          awake_.push_back(v);
         }
       }
       if (instrumented) {
@@ -440,6 +458,9 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
     obs::counter("net.rounds").add(metrics_.rounds);
     obs::counter("net.messages").add(metrics_.messages);
     obs::counter("net.bits").add(metrics_.total_bits);
+    // Shard-local, like the per-round histograms.
+    obs::counter("net.node_steps").add(node_steps);
+    obs::counter("net.live_node_rounds").add(live_node_rounds);
     // Per-run budget figures, one histogram record per completed run; the
     // report's "budget" section is budget_from_snapshot() over these. A
     // sharded run records the post-reduction (global) figures, so the

@@ -1,120 +1,26 @@
 #include "dut/net/transport/inproc.hpp"
 
-#include <algorithm>
-
 namespace dut::net {
 
 void InProcTransport::begin_run(std::uint32_t num_nodes, bool fault_mode,
                                 TransportHooks& hooks) {
-  num_nodes_ = num_nodes;
   fault_mode_ = fault_mode;
   hooks_ = &hooks;
-  // Full round-state reset, preserving every buffer's capacity so repeated
-  // runs on one engine stay allocation-free after warm-up.
-  pending_records_.clear();
-  pending_payload_.clear();
-  delivered_records_.clear();
-  delivered_payload_.clear();
-  pending_count_.assign(num_nodes, 0);
-  inbox_offset_.assign(num_nodes + 1, 0);
-  cursor_.assign(num_nodes, 0);
-  // Deferred-delivery state must go too: a run aborted mid-flight (e.g. a
-  // ProtocolViolation on a pooled engine) may have left delayed messages
-  // queued, and replaying them into the next trial would corrupt it.
-  deferred_records_.clear();
-  deferred_payload_.clear();
-}
-
-void InProcTransport::enqueue(const detail::ArenaRecord& rec,
-                              std::span<const std::uint64_t> fields,
-                              bool duplicate) {
-  detail::ArenaRecord stored = rec;
-  stored.payload_begin = pending_payload_.size();
-  pending_payload_.insert(pending_payload_.end(), fields.begin(),
-                          fields.end());
-  pending_records_.push_back(stored);
-  ++pending_count_[stored.to];
-  if (duplicate) {
-    // The duplicate shares the original's payload range (and corruption).
-    pending_records_.push_back(stored);
-    ++pending_count_[stored.to];
-  }
-}
-
-void InProcTransport::enqueue_delayed(const detail::ArenaRecord& rec,
-                                      std::span<const std::uint64_t> fields,
-                                      std::uint64_t due_round,
-                                      bool duplicate) {
-  detail::ArenaRecord stored = rec;
-  // Delayed payloads go to the deferred slab, which survives round flips.
-  stored.payload_begin = deferred_payload_.size();
-  deferred_payload_.insert(deferred_payload_.end(), fields.begin(),
-                           fields.end());
-  deferred_records_.push_back({stored, due_round});
-  if (duplicate) {
-    deferred_records_.push_back({stored, due_round});
-  }
-}
-
-void InProcTransport::inject_deferred(std::uint64_t round) {
-  if (deferred_records_.empty()) return;
-  std::size_t kept = 0;
-  for (const DeferredRecord& d : deferred_records_) {
-    if (d.due_round > round) {
-      deferred_records_[kept++] = d;
-      continue;
-    }
-    if (hooks_->is_halted(d.rec.to)) {
-      hooks_->count_expired(d.rec.sender, d.rec.to);
-      continue;
-    }
-    detail::ArenaRecord rec = d.rec;
-    rec.payload_begin = pending_payload_.size();
-    const auto src = deferred_payload_.begin() +
-                     static_cast<std::ptrdiff_t>(d.rec.payload_begin);
-    pending_payload_.insert(pending_payload_.end(), src,
-                            src + rec.num_fields);
-    pending_records_.push_back(rec);
-    ++pending_count_[rec.to];
-  }
-  deferred_records_.resize(kept);
-  // The slab can only be reclaimed once nothing references it; the deferral
-  // window is bounded by max_delay_rounds, so this happens regularly.
-  if (deferred_records_.empty()) deferred_payload_.clear();
+  arena_.reset(0, num_nodes);
 }
 
 void InProcTransport::flip_round(std::uint64_t round) {
   // Delayed messages whose round has come join the scatter behind this
-  // round's fresh sends (stable sort ⇒ fresh-before-delayed per inbox).
-  if (fault_mode_) inject_deferred(round);
-  const std::uint32_t k = num_nodes_;
-  inbox_offset_[0] = 0;
-  for (std::uint32_t v = 0; v < k; ++v) {
-    inbox_offset_[v + 1] = inbox_offset_[v] + pending_count_[v];
-  }
-  std::copy(inbox_offset_.begin(), inbox_offset_.begin() + k,
-            cursor_.begin());
-  // The pending slab becomes the delivered slab; payload_begin offsets in
-  // the records stay valid across the swap.
-  std::swap(pending_payload_, delivered_payload_);
-  delivered_records_.resize(pending_records_.size());
-  for (const detail::ArenaRecord& rec : pending_records_) {
-    delivered_records_[cursor_[rec.to]++] = rec;
-  }
-  pending_records_.clear();
-  pending_payload_.clear();
-  std::fill(pending_count_.begin(), pending_count_.end(), 0);
+  // round's fresh sends (stable scatter ⇒ fresh-before-delayed per inbox).
+  if (fault_mode_) arena_.inject_deferred(round, *hooks_);
+  arena_.flip();
 }
 
 void InProcTransport::settle_run(std::uint64_t /*round*/) {
   // Delayed messages that never came due are accounted as expired. Sends
   // staged in the final round already paid their send-site expiry checks,
   // so no final flip is needed in-process.
-  for (const DeferredRecord& d : deferred_records_) {
-    hooks_->count_expired(d.rec.sender, d.rec.to);
-  }
-  deferred_records_.clear();
-  deferred_payload_.clear();
+  arena_.expire_deferred(*hooks_);
 }
 
 }  // namespace dut::net

@@ -293,14 +293,18 @@ ShmSession::Trial ShmSession::wait_trial(std::uint64_t last_seq) {
   shm::ShmControl& c = *control();
   Backoff backoff;
   for (;;) {
+    // The counter is read before the flag: end_session sets the flag and
+    // then bumps the counter, so a bump seen here implies the flag is seen
+    // below. In the other order the shutdown bump could be taken for a
+    // trial.
+    // dut-lint: ordering(trial-publish): acquire pairs with begin_trial's
+    // release store; trial_seed/flags and the resets are visible here.
+    const std::uint64_t seq = c.trial_seq.load(std::memory_order_acquire);
     // dut-lint: ordering(shutdown-visibility): acquire pairs with the
     // release store in end_session.
     if (c.shutdown.load(std::memory_order_acquire) != 0) {
       return Trial{.shutdown = true};
     }
-    // dut-lint: ordering(trial-publish): acquire pairs with begin_trial's
-    // release store; trial_seed/flags and the resets are visible here.
-    const std::uint64_t seq = c.trial_seq.load(std::memory_order_acquire);
     if (seq > last_seq) {
       return Trial{.shutdown = false,
                    .seq = seq,

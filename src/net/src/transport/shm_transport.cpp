@@ -48,21 +48,12 @@ void ShmTransport::begin_run(std::uint32_t num_nodes, bool fault_mode,
   const auto [first, last] = shard(num_nodes);
   shard_first_ = first;
   shard_last_ = last;
-  const std::uint32_t span = last - first;
   exchange_publishes_ = 0;
 
   local_records_.clear();
   remote_records_.clear();
   staging_payload_.clear();
-  pending_records_.clear();
-  pending_payload_.clear();
-  delivered_records_.clear();
-  delivered_payload_.clear();
-  pending_count_.assign(span, 0);
-  inbox_offset_.assign(span + 1, 0);
-  cursor_.assign(span, 0);
-  deferred_records_.clear();
-  deferred_payload_.clear();
+  arena_.reset(first, last - first);
 
   out_batches_.assign(num_ranks_, {});
   out_sent_.assign(num_ranks_, 0);
@@ -197,7 +188,8 @@ void ShmTransport::pump_rings(std::uint64_t round) {
 }
 
 void ShmTransport::admit_fresh(const detail::ArenaRecord& rec,
-                               const std::uint64_t* fields, bool remote,
+                               std::span<const std::uint64_t> fields,
+                               bool duplicate, bool remote,
                                std::uint64_t send_round) {
   if (remote && hooks_->halt_key(rec.to) <
                     send_visibility_key(send_round, rec.sender)) {
@@ -206,40 +198,26 @@ void ShmTransport::admit_fresh(const detail::ArenaRecord& rec,
     // delivery boundary, with the same visibility: a halt is seen only if
     // it preceded the send in (round, execution order). A node that halted
     // later in the send round keeps the message in its (dead) inbox,
-    // exactly like in-process delivery.
+    // exactly like in-process delivery. The duplicate vanishes with the
+    // original without a second expired count: the in-process send path
+    // counts one expiry and never draws the duplication fault.
     if (!fault_mode_) hooks_->reject_remote_to_halted(rec.sender, rec.to);
     hooks_->count_expired(rec.sender, rec.to);
     return;
   }
-  detail::ArenaRecord stored = rec;
-  stored.payload_begin = pending_payload_.size();
-  pending_payload_.insert(pending_payload_.end(), fields,
-                          fields + rec.num_fields);
-  pending_records_.push_back(stored);
-  ++pending_count_[stored.to - shard_first_];
+  arena_.push(rec, fields, duplicate);
 }
 
 void ShmTransport::merge_own_staging() {
   for (const StagedRecord& s : local_records_) {
-    const std::uint64_t* fields = staging_payload_.data() + s.rec.payload_begin;
-    if (!s.delayed) {
-      admit_fresh(s.rec, fields, /*remote=*/false, /*send_round=*/0);
-      if (s.duplicate) {
-        // Re-admit shares the freshly copied payload, like the arena.
-        detail::ArenaRecord dup = pending_records_.back();
-        pending_records_.push_back(dup);
-        ++pending_count_[dup.to - shard_first_];
-      }
-      continue;
+    const std::span<const std::uint64_t> fields(
+        staging_payload_.data() + s.rec.payload_begin, s.rec.num_fields);
+    if (s.delayed) {
+      arena_.defer(s.rec, fields, s.due_round, s.duplicate);
+    } else {
+      admit_fresh(s.rec, fields, s.duplicate, /*remote=*/false,
+                  /*send_round=*/0);
     }
-    DeferredRecord d;
-    d.rec = s.rec;
-    d.rec.payload_begin = deferred_payload_.size();
-    deferred_payload_.insert(deferred_payload_.end(), fields,
-                             fields + s.rec.num_fields);
-    d.due_round = s.due_round;
-    deferred_records_.push_back(d);
-    if (s.duplicate) deferred_records_.push_back(d);
   }
 }
 
@@ -253,86 +231,25 @@ void ShmTransport::merge_peer_batch(std::uint32_t peer, std::uint64_t round) {
   std::size_t rec_at = kBatchHeaderWords;
   std::size_t payload_at = kBatchHeaderWords + fresh * kFreshRecordWords +
                            delayed * kDelayedRecordWords;
-  for (std::uint64_t i = 0; i < fresh; ++i) {
+  for (std::uint64_t i = 0; i < fresh + delayed; ++i) {
+    const bool is_delayed = i >= fresh;
     detail::ArenaRecord rec;
     rec.sender = static_cast<std::uint32_t>(in[rec_at]);
     rec.to = static_cast<std::uint32_t>(in[rec_at] >> 32);
     rec.bits = in[rec_at + 1];
     rec.num_fields = static_cast<std::uint32_t>(in[rec_at + 2]);
     const bool duplicate = (in[rec_at + 2] & kDupFlag) != 0;
-    rec_at += kFreshRecordWords;
-    const std::uint64_t* fields = in.data() + payload_at;
+    const std::span<const std::uint64_t> fields(in.data() + payload_at,
+                                                rec.num_fields);
     payload_at += rec.num_fields;
-    const std::size_t before = pending_records_.size();
-    admit_fresh(rec, fields, /*remote=*/true, send_round);
-    if (duplicate && pending_records_.size() != before) {
-      detail::ArenaRecord dup = pending_records_.back();
-      pending_records_.push_back(dup);
-      ++pending_count_[dup.to - shard_first_];
+    if (is_delayed) {
+      arena_.defer(rec, fields, in[rec_at + 3], duplicate);
+      rec_at += kDelayedRecordWords;
+    } else {
+      admit_fresh(rec, fields, duplicate, /*remote=*/true, send_round);
+      rec_at += kFreshRecordWords;
     }
-    // If the original was expired at the boundary, the duplicate vanishes
-    // with it without a second expired count: the in-process send path
-    // counts one expiry and never draws the duplication fault.
   }
-  for (std::uint64_t i = 0; i < delayed; ++i) {
-    DeferredRecord d;
-    d.rec.sender = static_cast<std::uint32_t>(in[rec_at]);
-    d.rec.to = static_cast<std::uint32_t>(in[rec_at] >> 32);
-    d.rec.bits = in[rec_at + 1];
-    d.rec.num_fields = static_cast<std::uint32_t>(in[rec_at + 2]);
-    const bool duplicate = (in[rec_at + 2] & kDupFlag) != 0;
-    d.due_round = in[rec_at + 3];
-    rec_at += kDelayedRecordWords;
-    d.rec.payload_begin = deferred_payload_.size();
-    deferred_payload_.insert(deferred_payload_.end(), in.data() + payload_at,
-                             in.data() + payload_at + d.rec.num_fields);
-    payload_at += d.rec.num_fields;
-    deferred_records_.push_back(d);
-    if (duplicate) deferred_records_.push_back(d);
-  }
-}
-
-void ShmTransport::inject_deferred(std::uint64_t round) {
-  if (deferred_records_.empty()) return;
-  std::size_t kept = 0;
-  for (const DeferredRecord& d : deferred_records_) {
-    if (d.due_round > round) {
-      deferred_records_[kept++] = d;
-      continue;
-    }
-    if (hooks_->is_halted(d.rec.to)) {
-      hooks_->count_expired(d.rec.sender, d.rec.to);
-      continue;
-    }
-    detail::ArenaRecord rec = d.rec;
-    rec.payload_begin = pending_payload_.size();
-    const auto src = deferred_payload_.begin() +
-                     static_cast<std::ptrdiff_t>(d.rec.payload_begin);
-    pending_payload_.insert(pending_payload_.end(), src,
-                            src + rec.num_fields);
-    pending_records_.push_back(rec);
-    ++pending_count_[rec.to - shard_first_];
-  }
-  deferred_records_.resize(kept);
-  if (deferred_records_.empty()) deferred_payload_.clear();
-}
-
-void ShmTransport::scatter_pending() {
-  const std::uint32_t span = shard_last_ - shard_first_;
-  inbox_offset_[0] = 0;
-  for (std::uint32_t v = 0; v < span; ++v) {
-    inbox_offset_[v + 1] = inbox_offset_[v] + pending_count_[v];
-  }
-  std::copy(inbox_offset_.begin(), inbox_offset_.begin() + span,
-            cursor_.begin());
-  std::swap(pending_payload_, delivered_payload_);
-  delivered_records_.resize(pending_records_.size());
-  for (const detail::ArenaRecord& rec : pending_records_) {
-    delivered_records_[cursor_[rec.to - shard_first_]++] = rec;
-  }
-  pending_records_.clear();
-  pending_payload_.clear();
-  std::fill(pending_count_.begin(), pending_count_.end(), 0);
 }
 
 void ShmTransport::flip_round(std::uint64_t round) {
@@ -348,8 +265,8 @@ void ShmTransport::flip_round(std::uint64_t round) {
       merge_peer_batch(r, round);
     }
   }
-  if (fault_mode_) inject_deferred(round);
-  scatter_pending();
+  if (fault_mode_) arena_.inject_deferred(round, *hooks_);
+  arena_.flip();
   local_records_.clear();
   remote_records_.clear();
   staging_payload_.clear();
@@ -367,15 +284,11 @@ void ShmTransport::settle_run(std::uint64_t round) {
   // Sends staged during the final executed round never saw a delivery
   // flip. Pump them once more: remote records pass the same
   // delivery-boundary expiry the in-process engine applied at their send
-  // sites, and final-round delayed records join deferred_records_ so the
-  // sweep below settles them too. Every rank reaches this point in fault
+  // sites, and final-round delayed records join the arena's deferred list
+  // so the sweep below settles them too. Every rank reaches this point in fault
   // mode, so the exchange pairs up like any other round flip.
   flip_round(round);
-  for (const DeferredRecord& d : deferred_records_) {
-    hooks_->count_expired(d.rec.sender, d.rec.to);
-  }
-  deferred_records_.clear();
-  deferred_payload_.clear();
+  arena_.expire_deferred(*hooks_);
 }
 
 void ShmTransport::reduce_metrics(EngineMetrics& metrics) {

@@ -11,9 +11,11 @@
 //  * Instrument references are stable for the process lifetime: register
 //    once (typically into a function-local static reference), then write
 //    forever without touching the registry mutex again.
-//  * snapshot() returns a consistent-enough copy for reporting (values are
-//    read relaxed; torn cross-instrument views are acceptable, torn single
-//    values are not), reset() zeroes values but keeps registrations.
+//  * snapshot() returns a consistent-enough copy for reporting (torn
+//    cross-instrument views are acceptable, torn single values are not; a
+//    histogram's count stays within its in-flight writers of its bucket
+//    total and min <= max whenever it is non-empty), reset() zeroes values
+//    but keeps registrations.
 //
 // Naming scheme (DESIGN.md §9): lowercase dotted "area.noun[.unit]" —
 // e.g. net.messages, net.round.bits, stats.chunk.us, monitor.alarms.
@@ -89,11 +91,17 @@ class Histogram {
 
   void record(std::uint64_t value) noexcept {
 #if DUT_OBS_LEVEL
-    count_.fetch_add(1, std::memory_order_relaxed);
+    // count_ goes last, with release order, so a reader that acquires it
+    // sees every counted record in full. The bucket tick is a release too:
+    // a reader that acquires it sees the writer's earlier records counted,
+    // so ticks run ahead of the count by at most one record per writer
+    // (Registry::snapshot relies on both). On x86 every ordering here
+    // compiles to the same lock xadd.
     sum_.fetch_add(value, std::memory_order_relaxed);
-    buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+    buckets_[bucket_index(value)].fetch_add(1, std::memory_order_release);
     update_min(value);
     update_max(value);
+    count_.fetch_add(1, std::memory_order_release);
 #else
     (void)value;
 #endif
@@ -107,8 +115,10 @@ class Histogram {
     return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
   }
 
+  /// Acquire load, pairing with record(): every record it counts is
+  /// visible in full to the caller's later reads.
   std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
+    return count_.load(std::memory_order_acquire);
   }
   std::uint64_t sum() const noexcept {
     return sum_.load(std::memory_order_relaxed);
@@ -121,8 +131,10 @@ class Histogram {
   std::uint64_t max() const noexcept {
     return max_.load(std::memory_order_relaxed);
   }
+  /// Acquire load, pairing with record(): the writers of the ticks it sees
+  /// have their earlier records counted.
   std::uint64_t bucket(std::size_t b) const noexcept {
-    return buckets_[b].load(std::memory_order_relaxed);
+    return buckets_[b].load(std::memory_order_acquire);
   }
 
   void reset() noexcept {

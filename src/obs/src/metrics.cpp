@@ -1,5 +1,6 @@
 #include "dut/obs/metrics.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "dut/obs/env.hpp"
@@ -88,16 +89,27 @@ MetricsSnapshot Registry::snapshot() const {
         snap.gauges.emplace(name, e.gauge->value());
         break;
       case Kind::kHistogram: {
+        // Writers keep recording while this reads. Buckets come first: a
+        // tick seen here runs ahead of the count loaded next by at most one
+        // in-flight record per writer (record() ticks, then counts, both
+        // with release order). Ticks landing after their bucket was read can
+        // put the count far ahead, so the smaller of the two is reported:
+        // count and bucket total stay within the writers in flight of each
+        // other and never go backwards. Min and max are read after the
+        // count, so they cover at least one record whenever it is non-zero.
         const Histogram& h = *e.histogram;
         HistogramData data;
-        data.count = h.count();
+        std::uint64_t bucket_total = 0;
+        for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+          const std::uint64_t c = h.bucket(b);
+          if (c == 0) continue;
+          data.buckets.emplace_back(Histogram::bucket_floor(b), c);
+          bucket_total += c;
+        }
+        data.count = std::min(bucket_total, h.count());
         data.sum = h.sum();
         data.max = h.max();
         data.min = data.count == 0 ? 0 : h.min();
-        for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-          const std::uint64_t c = h.bucket(b);
-          if (c != 0) data.buckets.emplace_back(Histogram::bucket_floor(b), c);
-        }
         snap.histograms.emplace(name, std::move(data));
         break;
       }

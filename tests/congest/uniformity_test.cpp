@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dut/core/families.hpp"
+#include "dut/obs/metrics.hpp"
 #include "dut/stats/bounds.hpp"
 #include "dut/stats/summary.hpp"
 
@@ -167,6 +168,28 @@ TEST(CongestTester, DeterministicPerSeed) {
   EXPECT_EQ(a.verdict.rejects(), b.verdict.rejects());
   EXPECT_EQ(a.verdict.votes_reject, b.verdict.votes_reject);
   EXPECT_EQ(a.metrics.messages, b.metrics.messages);
+}
+
+TEST(CongestTester, PlainRunStepsUnderATenthOfLiveNodeRounds) {
+  // Event-driven rounds: a plain-mode node sleeps unless its upward
+  // pipeline has something to send, so a run on the 64x64 grid steps under
+  // a tenth of what a polling engine would. A program that fell back to
+  // polling would step every live node-round.
+  if (!obs::enabled()) GTEST_SKIP() << "metrics disabled (DUT_OBS_LEVEL=0)";
+  const auto plan = plan_congest(1 << 12, 4096, 1.2);
+  ASSERT_TRUE(plan.feasible);
+  const Graph g = Graph::grid(64, 64);
+  const core::AliasSampler uni(core::uniform(1 << 12));
+  const obs::Counter& steps = obs::counter("net.node_steps");
+  const obs::Counter& live = obs::counter("net.live_node_rounds");
+  const std::uint64_t steps_before = steps.value();
+  const std::uint64_t live_before = live.value();
+  (void)run_congest_uniformity(plan, g, uni, 7);
+  const double stepped = static_cast<double>(steps.value() - steps_before);
+  const double polled = static_cast<double>(live.value() - live_before);
+  ASSERT_GT(polled, 0.0);
+  EXPECT_LT(stepped / polled, 0.10)
+      << stepped << " of " << polled << " live node-rounds stepped";
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
 #include "dut/core/families.hpp"
@@ -14,13 +15,18 @@
 namespace dut::core {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: padding bytes are indeterminate and would make the
+// case names change from one process to the next.
 struct FilterPoint {
-  int reference;  // index into the family list
+  std::int64_t reference;  // index into the family list
   double eps;
   double grains;
 };
+static_assert(sizeof(FilterPoint) ==
+              sizeof(std::int64_t) + 2 * sizeof(double));
 
-Distribution make_reference(int index, std::uint64_t n) {
+Distribution make_reference(std::int64_t index, std::uint64_t n) {
   switch (index) {
     case 0: return uniform(n);
     case 1: return zipf(n, 1.0);
@@ -30,7 +36,7 @@ Distribution make_reference(int index, std::uint64_t n) {
   }
 }
 
-const char* reference_name(int index) {
+const char* reference_name(std::int64_t index) {
   switch (index) {
     case 0: return "uniform";
     case 1: return "zipf1";

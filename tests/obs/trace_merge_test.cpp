@@ -5,6 +5,7 @@
 #include "dut/obs/trace_merge.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -51,13 +52,23 @@ const std::string kRunEnd =
 
 class TraceMerge : public ::testing::Test {
  protected:
+  // Per-process names: ctest runs every case as its own process, in
+  // parallel, and a shared base would let one case clobber another's
+  // shards.
   void SetUp() override {
-    base_ = testing::TempDir() + "trace_merge_test.jsonl";
+    base_ = testing::TempDir() + "trace_merge_test_" +
+            std::to_string(::getpid()) + ".jsonl";
+    remove_files();
+  }
+  void TearDown() override { remove_files(); }
+
+  void remove_files() const {
     std::remove(base_.c_str());
     for (std::uint32_t r = 0; r < 4; ++r) {
       std::remove(shard_path(base_, r).c_str());
     }
   }
+
   std::string base_;
 };
 
