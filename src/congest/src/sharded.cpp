@@ -69,7 +69,7 @@ std::vector<CongestRunResult> coordinate_congest_uniformity(
       // instead of waiting on the round exchange. The caller sees the
       // original exception.
       session.publish_abort(
-          static_cast<std::uint64_t>(net::TransportAbortCode::kOther));
+          static_cast<std::uint64_t>(net::TransportAbortCode::kOther), 0);
       session.post_ready(0, seq);
       throw;
     }
@@ -103,9 +103,16 @@ void serve_congest_uniformity(net::ShmSession& session, std::uint32_t rank,
       // code on its unwind path; swallow and keep serving later trials.
     } catch (const net::BandwidthExceeded&) {
     } catch (const net::RoundLimitExceeded&) {
+    } catch (const std::exception& error) {
+      // Anything else (an input check before the engine ran) aborts the
+      // trial with its message, which the coordinator's TransportAborted
+      // carries.
+      session.publish_abort(
+          static_cast<std::uint64_t>(net::TransportAbortCode::kOther), rank,
+          error.what());
     } catch (...) {
       session.publish_abort(
-          static_cast<std::uint64_t>(net::TransportAbortCode::kOther));
+          static_cast<std::uint64_t>(net::TransportAbortCode::kOther), rank);
     }
     session.post_ready(rank, trial.seq);
   }

@@ -3,8 +3,9 @@
 // Sample-based estimators of the distribution properties the testers key
 // on. The testers answer accept/reject; a monitoring deployment usually
 // also wants "how non-uniform does the stream look?" — these estimators
-// provide that, and bench/e13_operating_curve charts how the tester's
-// operating characteristics line up with them.
+// provide that (FleetMonitor's epoch reports carry estimate_chi and the
+// distance score). Each sample-based estimator here is a functional of the
+// sample's fingerprint (gap_tester.hpp).
 
 #include <cstdint>
 #include <span>
@@ -27,6 +28,15 @@ struct ChiEstimate {
 /// lambda_hat. Tests validate both unbiasedness and the error bar against
 /// the empirical scatter on skewed families.
 ChiEstimate estimate_chi(std::span<const std::uint64_t> samples);
+
+/// The same estimate from collision counts pooled over `windows`
+/// independent windows of `s` samples each, counting only within-window
+/// pairs and triples: chi_hat = pairs / (windows * binom(s, 2)),
+/// lambda_hat = triples / (windows * binom(s, 3)), and the variance above
+/// divided by `windows`. The span overload is the one-window case.
+/// Requires s >= 2 and windows >= 1.
+ChiEstimate estimate_chi(std::uint64_t pairs, std::uint64_t triples,
+                         std::uint64_t s, std::uint64_t windows);
 
 /// The collision "distance score": inverts Lemma 3.2's relation on the
 /// worst-case (Paninski) family, eps_hat = sqrt(max(0, chi_hat * n - 1)).

@@ -24,44 +24,76 @@
 
 namespace dut::core {
 
-/// True iff `samples` contains two equal values. Sorts a scratch copy:
-/// deterministic, O(s log s), no hashing.
+/// The sample's fingerprint: f[j] = F_j, the number of distinct values seen
+/// exactly j times (f[0] is unused and 0; f.size() is the largest
+/// multiplicity plus one). Every batch collision statistic is a functional
+/// of it.
+struct Fingerprint {
+  std::vector<std::uint64_t> f;
+
+  /// sum_j binom(j, r) * F_j: distinct values (r = 0), samples (r = 1),
+  /// colliding pairs (r = 2), colliding triples (r = 3). Exact while the
+  /// result fits in 64 bits.
+  std::uint64_t collisions(unsigned r) const noexcept;
+  /// True iff some value was seen at least twice.
+  bool has_collision() const noexcept { return f.size() > 2; }
+  /// F_1: values seen exactly once.
+  std::uint64_t singletons() const noexcept {
+    return f.size() > 1 ? f[1] : 0;
+  }
+
+  bool operator==(const Fingerprint&) const = default;
+};
+
+/// Reference fingerprint by sorting a copy: deterministic, O(s log s), no
+/// domain needed. The workspace's table path is tested against it.
+Fingerprint fingerprint(std::span<const std::uint64_t> samples);
+
+/// True iff `samples` contains two equal values (sort-based reference).
 bool has_collision(std::span<const std::uint64_t> samples);
 
 /// Number of colliding *pairs*: sum over values x of binom(m_x, 2) where
-/// m_x is the multiplicity of x. Used by the collision-counting baseline.
+/// m_x is the multiplicity of x (sort-based reference).
 std::uint64_t count_colliding_pairs(std::span<const std::uint64_t> samples);
 
-/// Reusable scratch for the O(s) mark-table collision kernels. The tables
-/// are allocated once per (thread, domain) and then reused across trials:
-/// marking and unmarking touch only the s sampled entries, never the whole
-/// domain, so a trial costs O(s) after the first. Not thread-safe — use
-/// thread_collision_workspace() for one instance per thread.
+/// Per-thread scratch for the collision kernels and the testers' sample
+/// draws. The tables are allocated once per (thread, domain) and then reused
+/// across trials: marking and unmarking touch only the s sampled entries,
+/// never the whole domain, so a trial costs O(s) after the first. Not
+/// thread-safe — use thread_collision_workspace() for one instance per
+/// thread.
 class CollisionWorkspace {
  public:
   /// Largest domain for which has_collision uses the bitmap (n bits,
-  /// 2 MiB at the cap) instead of sorting.
+  /// 2 MiB at the cap) instead of the fingerprint.
   static constexpr std::uint64_t kMaxBitmapDomain = 1ULL << 24;
-  /// Largest domain for which count_colliding_pairs keeps a multiplicity
-  /// table (4 bytes per element, 16 MiB at the cap).
+  /// Largest domain for which fingerprint() keeps a multiplicity table
+  /// (4 bytes per element, 16 MiB at the cap); above it, it sorts.
   static constexpr std::uint64_t kMaxCountDomain = 1ULL << 22;
 
+  /// The fingerprint of `samples`: one O(s) multiplicity-table pass when
+  /// 0 < n <= kMaxCountDomain and every value is < n, otherwise one sorted
+  /// run-length pass (n = 0 means the domain is unknown). Values >= n are
+  /// legal and force the sort.
+  Fingerprint fingerprint(std::span<const std::uint64_t> samples,
+                          std::uint64_t n);
+
   /// `n`-aware has_collision: O(s) bitmap scan when the domain fits (with
-  /// early exit on the first collision), sort fallback otherwise. Values
+  /// early exit on the first collision), fingerprint() otherwise. Values
   /// >= n are legal and force the fallback.
   bool has_collision(std::span<const std::uint64_t> samples, std::uint64_t n);
 
-  /// `n`-aware count_colliding_pairs via an O(s) multiplicity table.
-  std::uint64_t count_colliding_pairs(std::span<const std::uint64_t> samples,
-                                      std::uint64_t n);
+  /// Draws `count` samples into this workspace's sample buffer; the view is
+  /// valid until the next draw on this workspace.
+  std::span<const std::uint64_t> draw(const AliasSampler& sampler,
+                                      stats::Xoshiro256& rng,
+                                      std::uint64_t count);
 
  private:
-  bool bitmap_has_collision(std::span<const std::uint64_t> samples,
-                            std::uint64_t n);
-
   std::vector<std::uint64_t> bits_;    // 1 bit per domain element, lazily sized
   std::vector<std::uint32_t> counts_;  // multiplicities, lazily sized
   std::vector<std::uint64_t> scratch_;  // sort fallback buffer
+  std::vector<std::uint64_t> samples_;  // draw() buffer
 };
 
 /// The calling thread's workspace (engine trials run one trial at a time per

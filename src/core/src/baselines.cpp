@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
+#include "dut/core/estimators.hpp"
 #include "dut/core/gap_tester.hpp"
 
 namespace dut::core {
@@ -35,11 +35,10 @@ std::uint64_t CollisionCountingTester::recommended_samples(std::uint64_t n,
 
 bool CollisionCountingTester::run(const AliasSampler& sampler,
                                   stats::Xoshiro256& rng) const {
-  // dut-lint: allow(no-mutable-static): per-thread sample scratch; cleared by
-  // sample_into each trial, so verdicts never depend on reuse or thread count.
-  static thread_local std::vector<std::uint64_t> samples;
-  sampler.sample_into(rng, s_, samples);
-  const std::uint64_t pairs = count_colliding_pairs(samples, n_);
+  CollisionWorkspace& workspace = thread_collision_workspace();
+  const std::uint64_t pairs =
+      workspace.fingerprint(workspace.draw(sampler, rng, s_), n_)
+          .collisions(2);
   const double total_pairs =
       static_cast<double>(s_) * static_cast<double>(s_ - 1) / 2.0;
   return static_cast<double>(pairs) / total_pairs <= threshold_;
@@ -64,27 +63,15 @@ bool UniqueElementsTester::accept(
   if (samples.size() != s_) {
     throw std::invalid_argument("UniqueElements: wrong sample count");
   }
-  std::vector<std::uint64_t> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::uint64_t distinct = 0;
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    std::size_t j = i;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    ++distinct;
-    i = j;
-  }
+  const std::uint64_t distinct =
+      thread_collision_workspace().fingerprint(samples, n_).collisions(0);
   const double redundancy = static_cast<double>(s_ - distinct);
   return redundancy <= redundancy_threshold_;
 }
 
 bool UniqueElementsTester::run(const AliasSampler& sampler,
                                stats::Xoshiro256& rng) const {
-  // dut-lint: allow(no-mutable-static): per-thread sample scratch; cleared by
-  // sample_into each trial, so verdicts never depend on reuse or thread count.
-  static thread_local std::vector<std::uint64_t> samples;
-  sampler.sample_into(rng, s_, samples);
-  return accept(samples);
+  return accept(thread_collision_workspace().draw(sampler, rng, s_));
 }
 
 EmpiricalL1Tester::EmpiricalL1Tester(std::uint64_t n, double epsilon,
@@ -99,15 +86,9 @@ EmpiricalL1Tester::EmpiricalL1Tester(std::uint64_t n, double epsilon,
 
 bool EmpiricalL1Tester::run(const AliasSampler& sampler,
                             stats::Xoshiro256& rng) const {
-  std::vector<std::uint64_t> counts(n_, 0);
-  for (std::uint64_t i = 0; i < s_; ++i) ++counts[sampler.sample(rng)];
-  const double u = 1.0 / static_cast<double>(n_);
-  double distance = 0.0;
-  for (const std::uint64_t c : counts) {
-    distance +=
-        std::abs(static_cast<double>(c) / static_cast<double>(s_) - u);
-  }
-  return distance <= epsilon_ / 2.0;
+  return plugin_l1_to_uniform(
+             thread_collision_workspace().draw(sampler, rng, s_), n_) <=
+         epsilon_ / 2.0;
 }
 
 }  // namespace dut::core

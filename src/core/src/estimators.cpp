@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "dut/core/gap_tester.hpp"
 
@@ -13,34 +12,35 @@ ChiEstimate estimate_chi(std::span<const std::uint64_t> samples) {
   if (samples.size() < 2) {
     throw std::invalid_argument("estimate_chi: need at least two samples");
   }
-  // One sorted pass yields pair and triple collision counts.
-  std::vector<std::uint64_t> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  double pairs = 0.0;
-  double triples = 0.0;
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    std::size_t j = i;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    const double m = static_cast<double>(j - i);
-    pairs += m * (m - 1.0) / 2.0;
-    triples += m * (m - 1.0) * (m - 2.0) / 6.0;
-    i = j;
-  }
+  const Fingerprint fingerprint =
+      thread_collision_workspace().fingerprint(samples, 0);
+  return estimate_chi(fingerprint.collisions(2), fingerprint.collisions(3),
+                      samples.size(), 1);
+}
 
-  const auto s = static_cast<double>(samples.size());
-  const double total_pairs = s * (s - 1.0) / 2.0;
+ChiEstimate estimate_chi(std::uint64_t pairs, std::uint64_t triples,
+                         std::uint64_t s, std::uint64_t windows) {
+  if (s < 2 || windows == 0) {
+    throw std::invalid_argument(
+        "estimate_chi: need at least one window of two samples");
+  }
+  const auto ds = static_cast<double>(s);
+  const auto w = static_cast<double>(windows);
+  const double total_pairs = w * (ds * (ds - 1.0) / 2.0);
   ChiEstimate estimate;
-  estimate.samples = samples.size();
-  estimate.chi_hat = pairs / total_pairs;
+  estimate.samples = s * windows;
+  estimate.chi_hat = static_cast<double>(pairs) / total_pairs;
   estimate.lambda_hat =
-      s >= 3.0 ? triples / (s * (s - 1.0) * (s - 2.0) / 6.0) : 0.0;
+      s >= 3 ? static_cast<double>(triples) /
+                   (w * (ds * (ds - 1.0) * (ds - 2.0) / 6.0))
+             : 0.0;
   // Exact U-statistic variance with plug-in moments; the lambda term
-  // carries the correlation between overlapping pairs.
+  // carries the correlation between overlapping pairs. Independent windows
+  // divide it by their number.
   const double chi = estimate.chi_hat;
   const double variance =
       (chi * (1.0 - chi) +
-       2.0 * (s - 2.0) * std::max(0.0, estimate.lambda_hat - chi * chi)) /
+       2.0 * (ds - 2.0) * std::max(0.0, estimate.lambda_hat - chi * chi)) /
       total_pairs;
   estimate.std_error = std::sqrt(std::max(0.0, variance));
   return estimate;
@@ -61,26 +61,21 @@ double plugin_l1_to_uniform(std::span<const std::uint64_t> samples,
   if (n == 0 || samples.empty()) {
     throw std::invalid_argument("plugin_l1_to_uniform: empty input");
   }
-  // Count multiplicities without allocating O(n): sort a copy.
-  std::vector<std::uint64_t> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
+  if (std::any_of(samples.begin(), samples.end(),
+                  [n](std::uint64_t x) { return x >= n; })) {
+    throw std::invalid_argument("plugin_l1_to_uniform: sample >= n");
+  }
+  const Fingerprint fingerprint =
+      thread_collision_workspace().fingerprint(samples, n);
   const double s = static_cast<double>(samples.size());
   const double u = 1.0 / static_cast<double>(n);
   double distance = 0.0;
-  std::uint64_t seen_values = 0;
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    if (sorted[i] >= n) {
-      throw std::invalid_argument("plugin_l1_to_uniform: sample >= n");
-    }
-    std::size_t j = i;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    distance += std::abs(static_cast<double>(j - i) / s - u);
-    ++seen_values;
-    i = j;
+  for (std::size_t j = 1; j < fingerprint.f.size(); ++j) {
+    distance += static_cast<double>(fingerprint.f[j]) *
+                std::abs(static_cast<double>(j) / s - u);
   }
   // Elements never sampled each contribute |0 - 1/n|.
-  distance += static_cast<double>(n - seen_values) * u;
+  distance += static_cast<double>(n - fingerprint.collisions(0)) * u;
   return distance;
 }
 
@@ -88,17 +83,11 @@ SupportEstimate estimate_support(std::span<const std::uint64_t> samples) {
   if (samples.empty()) {
     throw std::invalid_argument("estimate_support: empty input");
   }
-  std::vector<std::uint64_t> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
+  const Fingerprint fingerprint =
+      thread_collision_workspace().fingerprint(samples, 0);
   SupportEstimate estimate;
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    std::size_t j = i;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    ++estimate.distinct;
-    if (j - i == 1) ++estimate.singletons;
-    i = j;
-  }
+  estimate.distinct = fingerprint.collisions(0);
+  estimate.singletons = fingerprint.singletons();
   estimate.unseen_mass = static_cast<double>(estimate.singletons) /
                          static_cast<double>(samples.size());
   return estimate;

@@ -6,46 +6,73 @@
 
 namespace dut::core {
 
-namespace {
-
-bool sorted_has_collision(std::span<const std::uint64_t> samples,
-                          std::vector<std::uint64_t>& scratch) {
-  scratch.assign(samples.begin(), samples.end());
-  std::sort(scratch.begin(), scratch.end());
-  return std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end();
-}
-
-std::uint64_t sorted_count_colliding_pairs(
-    std::span<const std::uint64_t> samples,
-    std::vector<std::uint64_t>& scratch) {
-  scratch.assign(samples.begin(), samples.end());
-  std::sort(scratch.begin(), scratch.end());
-  std::uint64_t pairs = 0;
-  std::size_t i = 0;
-  while (i < scratch.size()) {
-    std::size_t j = i;
-    while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
-    const std::uint64_t m = j - i;
-    pairs += m * (m - 1) / 2;
-    i = j;
+std::uint64_t Fingerprint::collisions(unsigned r) const noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t j = 1; j < f.size(); ++j) {
+    // binom(j, i) after step i; 128 bits keep every product exact.
+    unsigned __int128 choose = 1;
+    for (unsigned i = 0; i < r; ++i) choose = choose * (j - i) / (i + 1);
+    total += static_cast<std::uint64_t>(choose) * f[j];
   }
-  return pairs;
+  return total;
 }
 
-}  // namespace
+Fingerprint fingerprint(std::span<const std::uint64_t> samples) {
+  CollisionWorkspace workspace;
+  return workspace.fingerprint(samples, 0);
+}
 
 bool has_collision(std::span<const std::uint64_t> samples) {
-  std::vector<std::uint64_t> scratch;
-  return sorted_has_collision(samples, scratch);
+  return fingerprint(samples).has_collision();
 }
 
 std::uint64_t count_colliding_pairs(std::span<const std::uint64_t> samples) {
-  std::vector<std::uint64_t> scratch;
-  return sorted_count_colliding_pairs(samples, scratch);
+  return fingerprint(samples).collisions(2);
 }
 
-bool CollisionWorkspace::bitmap_has_collision(
+Fingerprint CollisionWorkspace::fingerprint(
     std::span<const std::uint64_t> samples, std::uint64_t n) {
+  Fingerprint result;
+  const bool table =
+      n != 0 && n <= kMaxCountDomain &&
+      std::all_of(samples.begin(), samples.end(),
+                  [n](std::uint64_t x) { return x < n; });
+  if (!table) {
+    scratch_.assign(samples.begin(), samples.end());
+    std::sort(scratch_.begin(), scratch_.end());
+    result.f.assign(1, 0);
+    for (std::size_t i = 0; i < scratch_.size();) {
+      std::size_t j = i + 1;
+      while (j < scratch_.size() && scratch_[j] == scratch_[i]) ++j;
+      if (j - i >= result.f.size()) result.f.resize(j - i + 1, 0);
+      ++result.f[j - i];
+      i = j;
+    }
+    return result;
+  }
+  if (counts_.size() < n) counts_.resize(static_cast<std::size_t>(n), 0);
+  std::uint32_t most = 0;
+  for (const std::uint64_t x : samples) {
+    most = std::max(most, ++counts_[static_cast<std::size_t>(x)]);
+  }
+  // The first visit of each value reads its multiplicity and zeroes it, so
+  // the table comes back clean after O(s) work.
+  result.f.assign(most + 1, 0);
+  for (const std::uint64_t x : samples) {
+    std::uint32_t& m = counts_[static_cast<std::size_t>(x)];
+    if (m != 0) {
+      ++result.f[m];
+      m = 0;
+    }
+  }
+  return result;
+}
+
+bool CollisionWorkspace::has_collision(std::span<const std::uint64_t> samples,
+                                       std::uint64_t n) {
+  if (n == 0 || n > kMaxBitmapDomain) {
+    return fingerprint(samples, n).has_collision();
+  }
   const std::size_t words = static_cast<std::size_t>((n + 63) / 64);
   if (bits_.size() < words) bits_.resize(words, 0);
 
@@ -53,7 +80,7 @@ bool CollisionWorkspace::bitmap_has_collision(
   bool found = false;
   for (; marked < samples.size(); ++marked) {
     const std::uint64_t x = samples[marked];
-    if (x >= n) break;  // out-of-contract value: undo and fall back to sort
+    if (x >= n) break;  // out-of-contract value: undo and fall back
     const std::uint64_t mask = 1ULL << (x & 63);
     std::uint64_t& word = bits_[x >> 6];
     if (word & mask) {
@@ -68,38 +95,15 @@ bool CollisionWorkspace::bitmap_has_collision(
     const std::uint64_t x = samples[i];
     bits_[x >> 6] &= ~(1ULL << (x & 63));
   }
-  if (!clean) return sorted_has_collision(samples, scratch_);
+  if (!clean) return fingerprint(samples, n).has_collision();
   return found;
 }
 
-bool CollisionWorkspace::has_collision(std::span<const std::uint64_t> samples,
-                                       std::uint64_t n) {
-  if (n == 0 || n > kMaxBitmapDomain) {
-    return sorted_has_collision(samples, scratch_);
-  }
-  return bitmap_has_collision(samples, n);
-}
-
-std::uint64_t CollisionWorkspace::count_colliding_pairs(
-    std::span<const std::uint64_t> samples, std::uint64_t n) {
-  if (n == 0 || n > kMaxCountDomain) {
-    return sorted_count_colliding_pairs(samples, scratch_);
-  }
-  for (const std::uint64_t x : samples) {
-    if (x >= n) return sorted_count_colliding_pairs(samples, scratch_);
-  }
-  if (counts_.size() < n) counts_.resize(static_cast<std::size_t>(n), 0);
-
-  // Incremental pair count: inserting a value with multiplicity m so far
-  // creates m new colliding pairs.
-  std::uint64_t pairs = 0;
-  for (const std::uint64_t x : samples) {
-    pairs += counts_[static_cast<std::size_t>(x)]++;
-  }
-  for (const std::uint64_t x : samples) {
-    counts_[static_cast<std::size_t>(x)] = 0;
-  }
-  return pairs;
+std::span<const std::uint64_t> CollisionWorkspace::draw(
+    const AliasSampler& sampler, stats::Xoshiro256& rng,
+    std::uint64_t count) {
+  sampler.sample_into(rng, count, samples_);
+  return samples_;
 }
 
 CollisionWorkspace& thread_collision_workspace() {
@@ -115,7 +119,7 @@ bool has_collision(std::span<const std::uint64_t> samples, std::uint64_t n) {
 
 std::uint64_t count_colliding_pairs(std::span<const std::uint64_t> samples,
                                     std::uint64_t n) {
-  return thread_collision_workspace().count_colliding_pairs(samples, n);
+  return thread_collision_workspace().fingerprint(samples, n).collisions(2);
 }
 
 double gap_slack_gamma(std::uint64_t s, double delta, double epsilon) {
@@ -228,11 +232,9 @@ bool SingleCollisionTester::accept(
 
 bool SingleCollisionTester::run(const AliasSampler& sampler,
                                 stats::Xoshiro256& rng) const {
-  // dut-lint: allow(no-mutable-static): per-thread sample scratch; cleared by
-  // sample_into each trial, so verdicts never depend on reuse or thread count.
-  static thread_local std::vector<std::uint64_t> samples;
-  sampler.sample_into(rng, params_.s, samples);
-  return !has_collision(samples, params_.n);
+  CollisionWorkspace& workspace = thread_collision_workspace();
+  return !workspace.has_collision(workspace.draw(sampler, rng, params_.s),
+                                  params_.n);
 }
 
 }  // namespace dut::core

@@ -79,7 +79,8 @@ class FleetMonitor final : public stats::SequentialTester {
     std::uint64_t votes_to_reject = 0;
     std::uint64_t threshold = 0;
     /// Pooled collision estimate over all windows of this epoch (in the
-    /// effective/filtered domain).
+    /// effective/filtered domain): core::estimate_chi over the windows'
+    /// within-window pair and triple counts.
     core::ChiEstimate chi;
     /// sqrt(max(0, chi_hat * n_eff - 1)): ~eps for worst-case deviations.
     double distance_score = 0.0;

@@ -1,6 +1,5 @@
 #include "dut/monitor/fleet_monitor.hpp"
 
-#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -92,47 +91,30 @@ FleetMonitor::EpochReport FleetMonitor::next_report() {
 }
 
 void FleetMonitor::close_epoch() {
-  const core::SingleCollisionTester tester(plan_.base);
   EpochReport report;
   report.epoch = ++epoch_;
   report.threshold = plan_.threshold;
 
-  // Keep each node's window intact while scoring: the chi estimate pools
-  // only *within-window* pairs (cross-window pairs would also be valid
-  // i.i.d. pairs, but keeping windows separate matches exactly what the
-  // voters saw).
-  std::vector<std::uint64_t> pooled;
-  pooled.reserve(static_cast<std::size_t>(config_.nodes) * plan_.base.s);
-
+  // One fingerprint per window: its vote is the single-collision tester's,
+  // and the chi estimate pools only *within-window* pairs (cross-window
+  // pairs would also be valid i.i.d. pairs, but keeping windows separate
+  // matches exactly what the voters saw).
+  core::CollisionWorkspace& workspace = core::thread_collision_workspace();
+  std::uint64_t pairs = 0;
+  std::uint64_t triples = 0;
   for (auto& window : windows_) {
-    const std::span<const std::uint64_t> epoch_window(window.data(),
-                                                      plan_.base.s);
-    if (!tester.accept(epoch_window)) ++report.votes_to_reject;
-    pooled.insert(pooled.end(), epoch_window.begin(), epoch_window.end());
+    const core::Fingerprint fingerprint = workspace.fingerprint(
+        std::span<const std::uint64_t>(window.data(), plan_.base.s), plan_.n);
+    if (fingerprint.has_collision()) ++report.votes_to_reject;
+    pairs += fingerprint.collisions(2);
+    triples += fingerprint.collisions(3);
     window.erase(window.begin(),
                  window.begin() + static_cast<long>(plan_.base.s));
   }
-  double pairs = 0.0;
-  double total_pairs = 0.0;
-  const double s = static_cast<double>(plan_.base.s);
-  for (std::uint32_t v = 0; v < config_.nodes; ++v) {
-    const std::span<const std::uint64_t> win(
-        pooled.data() + static_cast<std::size_t>(v) * plan_.base.s,
-        plan_.base.s);
-    pairs += static_cast<double>(core::count_colliding_pairs(win, plan_.n));
-    total_pairs += s * (s - 1.0) / 2.0;
-  }
-  report.chi.chi_hat = total_pairs > 0.0 ? pairs / total_pairs : 0.0;
-  report.chi.samples = pooled.size();
-  report.chi.std_error =
-      total_pairs > 0.0
-          ? std::sqrt(std::max(0.0, report.chi.chi_hat *
-                                        (1.0 - report.chi.chi_hat)) /
-                      total_pairs)
-          : 0.0;
+  report.chi = core::estimate_chi(pairs, triples, plan_.base.s, config_.nodes);
   report.distance_score =
       core::collision_distance_score(report.chi.chi_hat, plan_.n);
-  report.samples_consumed = pooled.size();
+  report.samples_consumed = report.chi.samples;
 
   report.alarm = report.votes_to_reject >= plan_.threshold;
   if (report.alarm) {

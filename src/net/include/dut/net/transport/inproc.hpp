@@ -53,9 +53,6 @@ class InProcTransport final : public Transport {
   std::span<const std::uint32_t> receivers() const noexcept override {
     return arena_.receivers();
   }
-  std::uint32_t pending_to(std::uint32_t node) const noexcept override {
-    return arena_.pending_to(node);
-  }
   bool has_undelivered() const override { return arena_.has_pending(); }
   void settle_run(std::uint64_t round) override;
   void reduce_metrics(EngineMetrics&) override {}

@@ -59,10 +59,6 @@ class RoundArena {
   std::span<const std::uint32_t> receivers() const noexcept {
     return delivered_receivers_;
   }
-  /// Messages pushed for `node` since the last flip.
-  std::uint32_t pending_to(std::uint32_t node) const noexcept {
-    return slots_[node - first_].pending;
-  }
   bool has_pending() const noexcept { return !pending_records_.empty(); }
 
  private:

@@ -28,7 +28,7 @@
 //    ShmTransport pumps sends and receives together so oversized round
 //    batches can never deadlock a rank pair.
 //  * The trial protocol (ShmSession::begin_trial / wait_trial / post_ready)
-//    resets rings, exchange cells and the abort code between trials, so an
+//    resets rings, exchange cells and the abort state between trials, so an
 //    aborted run can never leave two ranks' exchange counters misaligned
 //    for the next one.
 
@@ -43,6 +43,8 @@ inline constexpr std::uint32_t kMaxRanks = 16;
 /// the congest verdict summaries with room to grow.
 inline constexpr std::uint32_t kExchangeWords = 64;
 inline constexpr std::size_t kCacheLine = 64;
+/// Bytes of the abort cause kept in the control block, NUL included.
+inline constexpr std::size_t kAbortCauseBytes = 256;
 
 /// Lockstep all-gather slot for one rank (see file comment).
 struct alignas(kCacheLine) ExchangeCell {
@@ -74,9 +76,16 @@ struct alignas(kCacheLine) ShmControl {
   std::atomic<std::uint64_t> trial_seq{0};
   std::uint64_t trial_seed = 0;
   std::uint64_t trial_flags = 0;
-  /// First-wins abort code for the current trial (TransportAbortCode).
-  /// Non-zero makes every spin loop in the segment throw TransportAborted.
+  /// Abort code for the current trial (TransportAbortCode), stored only by
+  /// the abort_claim winner. Non-zero makes every spin loop in the segment
+  /// throw TransportAborted.
   std::atomic<std::uint64_t> abort_code{0};
+  /// First-wins claim on the abort: 0 while unclaimed, else the aborting
+  /// rank + 1. The winner writes abort_cause, then publishes abort_code.
+  std::atomic<std::uint64_t> abort_claim{0};
+  /// NUL-terminated, truncated cause of the abort; valid once abort_code
+  /// reads non-zero.
+  char abort_cause[kAbortCauseBytes]{};
   /// Session teardown: workers drain out of wait_trial and exit.
   std::atomic<std::uint64_t> shutdown{0};
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dut/net/transport/shm_layout.hpp"
@@ -76,11 +77,15 @@ class ShmSession {
   void post_ready(std::uint32_t rank, std::uint64_t seq);
 
   // -- abort propagation -----------------------------------------------------
-  /// First caller wins; every blocking wait observes it.
-  void publish_abort(std::uint64_t code) noexcept;
+  /// First caller wins; every blocking wait observes it. `rank` is the
+  /// caller's rank and `cause` (truncated to shm::kAbortCauseBytes - 1
+  /// bytes) says why; both reach every TransportAborted the abort raises.
+  void publish_abort(std::uint64_t code, std::uint32_t rank,
+                     std::string_view cause = {}) noexcept;
   std::uint64_t abort_code() const noexcept;
-  /// Throws TransportAborted if the current trial was aborted or the
-  /// session shut down mid-trial.
+  /// Throws TransportAborted — naming the aborting rank, the code and the
+  /// cause — if the current trial was aborted, or if the session shut down
+  /// mid-trial.
   void check_abort() const;
 
   // -- lockstep all-gather ---------------------------------------------------

@@ -62,12 +62,6 @@ class ShmTransport final : public Transport {
   std::span<const std::uint32_t> receivers() const noexcept override {
     return arena_.receivers();
   }
-  std::uint32_t pending_to(std::uint32_t node) const noexcept override {
-    // Every send stays staged until the flip fills the arena, so between
-    // flips this reads 0: the engine's halted-with-queued-messages check
-    // never fires on this backend (a divergence from InProcTransport).
-    return arena_.pending_to(node);
-  }
   bool has_undelivered() const override {
     return !local_records_.empty() || !remote_records_.empty();
   }
@@ -76,7 +70,7 @@ class ShmTransport final : public Transport {
   void exchange_summaries(std::span<const std::uint64_t> local,
                           std::vector<std::uint64_t>& all) override;
   void abort_run(TransportAbortCode code) noexcept override {
-    session_->publish_abort(static_cast<std::uint64_t>(code));
+    session_->publish_abort(static_cast<std::uint64_t>(code), rank_);
   }
 
  private:

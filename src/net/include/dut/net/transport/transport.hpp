@@ -151,9 +151,6 @@ class Transport {
   /// (valid until the next flip). The engine wakes them; every other inbox
   /// is empty.
   virtual std::span<const std::uint32_t> receivers() const noexcept = 0;
-  /// Messages already queued this round for shard-local node `node` (the
-  /// engine's halted-with-queued-messages termination check).
-  virtual std::uint32_t pending_to(std::uint32_t node) const noexcept = 0;
 
   /// Whether any message is still queued or staged after the loop exited
   /// (the strict-mode quiescence violation).

@@ -371,7 +371,22 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
       awake_.clear();
       live_node_rounds += local_active;
       for (const std::uint32_t v : stepping_) {
-        if (halted_[v]) continue;
+        if (halted_[v]) {
+          // Strict mode refuses sends to a halted node at the send site
+          // (and, across ranks, at admit_fresh's boundary), so a halted
+          // receiver holds a message queued before it halted in the send
+          // round: the protocol's termination is racy. In fault mode this
+          // is routine (retransmissions race halts and crashes) and the
+          // message lands in a dead inbox.
+          if (!fault_plan_.has_value()) {
+            const std::string detail =
+                "node " + std::to_string(v) +
+                " halted with queued incoming messages";
+            trace_violation("protocol", detail);
+            throw ProtocolViolation(detail);
+          }
+          continue;
+        }
         NodeContext ctx;
         ctx.engine_ = this;
         ctx.id_ = v;
@@ -387,17 +402,6 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
           --local_active;
           if (active_sink_ != nullptr) {
             active_sink_->on_halt(current_round_, v);
-          }
-          if (transport_->pending_to(v) != 0 && !fault_plan_.has_value()) {
-            // A same-round earlier neighbor already queued a message for a
-            // node that has just halted: the protocol's termination is racy.
-            // In fault mode this is routine (retransmissions race halts) and
-            // the queued messages simply land in a dead inbox.
-            const std::string detail =
-                "node " + std::to_string(v) +
-                " halted with queued incoming messages";
-            trace_violation("protocol", detail);
-            throw ProtocolViolation(detail);
           }
         } else if (!ctx.asleep_) {
           awake_.push_back(v);

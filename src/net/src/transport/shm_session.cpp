@@ -191,34 +191,50 @@ void ShmSession::Backoff::step(const ShmSession& session, bool watch_abort) {
 }
 
 void ShmSession::check_abort() const {
+  const shm::ShmControl& c = *control();
   const std::uint64_t code =
       // dut-lint: ordering(abort-visibility): acquire pairs with the
-      // acq_rel CAS in publish_abort, so the aborting rank's writes are
-      // visible before the code is acted on.
-      control()->abort_code.load(std::memory_order_acquire);
+      // release store in publish_abort, so the claim and the cause written
+      // before it are visible before the code is acted on.
+      c.abort_code.load(std::memory_order_acquire);
   if (code != 0) {
-    throw TransportAborted("ShmSession: peer aborted the trial (code " +
-                           std::to_string(code) + ")");
+    const std::uint64_t claim = c.abort_claim.load(std::memory_order_relaxed);
+    std::string what = "ShmSession: rank " + std::to_string(claim - 1) +
+                       " aborted the trial (code " + std::to_string(code) +
+                       ")";
+    if (c.abort_cause[0] != '\0') what += std::string(": ") + c.abort_cause;
+    throw TransportAborted(what);
   }
   // dut-lint: ordering(shutdown-visibility): acquire pairs with the
   // release store in end_session.
-  if (control()->shutdown.load(std::memory_order_acquire) != 0) {
+  if (c.shutdown.load(std::memory_order_acquire) != 0) {
     throw TransportAborted("ShmSession: session shut down mid-trial");
   }
 }
 
-void ShmSession::publish_abort(std::uint64_t code) noexcept {
-  std::uint64_t expected = 0;
-  control()->abort_code.compare_exchange_strong(
-      // dut-lint: ordering(abort-publish): acq_rel — the release half
-      // publishes the aborting rank's state with the code; first writer
-      // wins so every rank reports one abort cause.
-      expected, code, std::memory_order_acq_rel, std::memory_order_relaxed);
+void ShmSession::publish_abort(std::uint64_t code, std::uint32_t rank,
+                               std::string_view cause) noexcept {
+  shm::ShmControl& c = *control();
+  std::uint64_t unclaimed = 0;
+  if (!c.abort_claim.compare_exchange_strong(
+          // dut-lint: ordering(abort-claim): acq_rel — first writer wins,
+          // so every rank reports one abort cause; a loser leaves the code
+          // to the winner, which stores it right after the cause.
+          unclaimed, std::uint64_t{rank} + 1, std::memory_order_acq_rel,
+          std::memory_order_relaxed)) {
+    return;
+  }
+  const std::size_t length = std::min(cause.size(), shm::kAbortCauseBytes - 1);
+  std::copy_n(cause.data(), length, c.abort_cause);
+  c.abort_cause[length] = '\0';
+  // dut-lint: ordering(abort-publish): release publishes the aborting
+  // rank's state, its claim and its cause with the code.
+  c.abort_code.store(code, std::memory_order_release);
 }
 
 std::uint64_t ShmSession::abort_code() const noexcept {
-  // dut-lint: ordering(abort-visibility): acquire pairs with the acq_rel
-  // CAS in publish_abort (same edge as check_abort).
+  // dut-lint: ordering(abort-visibility): acquire pairs with the release
+  // store in publish_abort (same edge as check_abort).
   return control()->abort_code.load(std::memory_order_acquire);
 }
 
@@ -266,6 +282,9 @@ std::uint64_t ShmSession::begin_trial(std::uint64_t seed,
   // dut-lint: handoff(abort_code): quiescence barrier — a stale abort
   // from the finished trial is cleared before the next one is published.
   c.abort_code.store(0, std::memory_order_relaxed);
+  // dut-lint: handoff(abort_claim): quiescence barrier — the finished
+  // trial's claim is released with its code.
+  c.abort_claim.store(0, std::memory_order_relaxed);
   c.trial_seed = seed;
   c.trial_flags = flags;
   const std::uint64_t seq = prev + 1;

@@ -33,7 +33,7 @@ WorkerGroup::WorkerGroup(ShmSession& session,
         fn(rank);
       } catch (...) {
         session_->publish_abort(
-            static_cast<std::uint64_t>(TransportAbortCode::kOther));
+            static_cast<std::uint64_t>(TransportAbortCode::kOther), rank);
         code = 1;
       }
       std::_Exit(code);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "dut/core/estimators.hpp"
 #include "dut/core/families.hpp"
 #include "dut/core/gap_tester.hpp"
 #include "dut/stats/summary.hpp"
@@ -145,6 +146,37 @@ TEST(EmpiricalL1, WorksWithLinearSamples) {
   const auto accept_far = stats::estimate_probability(
       6, 200, [&](stats::Xoshiro256& rng) { return tester.run(far, rng); });
   EXPECT_LT(accept_far.p_hat, 0.1);
+}
+
+TEST(EmpiricalL1, RunIsPluginL1OfTheSameDraws) {
+  // run() decides on plugin_l1_to_uniform over the samples it draws, and
+  // draws the same stream as sample_many.
+  const std::uint64_t n = 256;
+  const double eps = 0.5;
+  const AliasSampler families[] = {AliasSampler(uniform(n)),
+                                   AliasSampler(paninski_two_bump(n, eps))};
+  std::uint64_t accepts = 0;
+  std::uint64_t runs = 0;
+  for (const AliasSampler& sampler : families) {
+    for (const std::uint64_t s : {n, 4 * n, 16 * n}) {
+      const EmpiricalL1Tester tester(n, eps, s);
+      for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        stats::Xoshiro256 rng_run(seed);
+        stats::Xoshiro256 rng_ref(seed);
+        const bool accept = tester.run(sampler, rng_run);
+        EXPECT_EQ(accept,
+                  plugin_l1_to_uniform(sampler.sample_many(rng_ref, s), n) <=
+                      eps / 2.0)
+            << "s=" << s << " seed=" << seed;
+        EXPECT_EQ(rng_run(), rng_ref());
+        accepts += accept;
+        ++runs;
+      }
+    }
+  }
+  // Both verdicts occur, so the comparison is not vacuous.
+  EXPECT_GT(accepts, 0u);
+  EXPECT_LT(accepts, runs);
 }
 
 TEST(EmpiricalL1, BreaksAtSublinearSamples) {

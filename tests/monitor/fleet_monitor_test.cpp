@@ -5,6 +5,7 @@
 #include "dut/core/families.hpp"
 #include "dut/core/sampler.hpp"
 #include "dut/stats/bounds.hpp"
+#include "dut/stats/summary.hpp"
 
 namespace dut::monitor {
 namespace {
@@ -119,6 +120,36 @@ TEST(FleetMonitor, ReportCarriesCalibratedScore) {
   EXPECT_NEAR(report.distance_score, eps, 0.25);
   EXPECT_EQ(report.samples_consumed, 2048 * monitor.window_size());
   EXPECT_GT(report.chi.chi_hat, 1.0 / static_cast<double>(1 << 14));
+}
+
+TEST(FleetMonitor, ChiErrorBarMatchesEpochScatterOnSkewedStream) {
+  // Overlapping pairs in one window are correlated through triple
+  // collisions; on a skewed stream the chi(1 - chi) term alone understates
+  // the epoch-to-epoch scatter of chi_hat (sd / mean error bar = 1.32 here
+  // without the triple term).
+  MonitorConfig config;
+  config.domain = 4096;
+  config.nodes = 64;
+  config.epsilon = 1.6;
+  config.error = 0.4;
+  config.seed = 1;
+  FleetMonitor monitor(config);
+  const core::AliasSampler sampler(core::zipf(4096, 1.0));
+  stats::Xoshiro256 rng(1);
+  stats::RunningStat chi_hats;
+  stats::RunningStat errors;
+  while (monitor.epochs_completed() < 600) {
+    monitor.observe(sampler.sample(rng));
+    while (monitor.reports_pending() > 0) {
+      const FleetMonitor::EpochReport report = monitor.next_report();
+      chi_hats.add(report.chi.chi_hat);
+      errors.add(report.chi.std_error);
+    }
+  }
+  ASSERT_EQ(chi_hats.count(), 600u);
+  const double ratio = chi_hats.stddev() / errors.mean();
+  EXPECT_GE(ratio, 0.85);
+  EXPECT_LE(ratio, 1.15);
 }
 
 TEST(FleetMonitor, SurplusObservationsCarryOver) {

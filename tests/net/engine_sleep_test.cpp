@@ -273,7 +273,7 @@ TEST(EngineSleep, SleepingIsInvisibleOverTwoShmRanks) {
             (void)run_relay(engine, trial.seed, trial.flags != 0);
           } catch (...) {
             session.publish_abort(
-                static_cast<std::uint64_t>(TransportAbortCode::kOther));
+                static_cast<std::uint64_t>(TransportAbortCode::kOther), rank);
           }
           session.post_ready(rank, trial.seq);
         }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -121,12 +122,24 @@ TEST(ShmSession, AbortIsFirstWinsAndObservable) {
   EXPECT_NO_THROW(session.check_abort());
 
   session.publish_abort(
-      static_cast<std::uint64_t>(TransportAbortCode::kBandwidthExceeded));
+      static_cast<std::uint64_t>(TransportAbortCode::kBandwidthExceeded), 1,
+      "first cause");
   session.publish_abort(
-      static_cast<std::uint64_t>(TransportAbortCode::kProtocolViolation));
+      static_cast<std::uint64_t>(TransportAbortCode::kProtocolViolation), 0,
+      "second cause");
   EXPECT_EQ(session.abort_code(),
             static_cast<std::uint64_t>(TransportAbortCode::kBandwidthExceeded));
   EXPECT_THROW(session.check_abort(), TransportAborted);
+  // The winner's rank and cause travel with its code.
+  try {
+    session.check_abort();
+  } catch (const TransportAborted& aborted) {
+    EXPECT_NE(std::string(aborted.what()).find("rank 1 aborted"),
+              std::string::npos);
+    EXPECT_NE(std::string(aborted.what()).find("first cause"),
+              std::string::npos);
+    EXPECT_EQ(std::string(aborted.what()).find("second"), std::string::npos);
+  }
 
   // The next trial starts clean: begin_trial resets the code.
   session.post_ready(0, 1);

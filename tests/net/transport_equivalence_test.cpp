@@ -181,7 +181,7 @@ class ShardedToyHarness {
       } catch (const RoundLimitExceeded&) {
       } catch (...) {
         session_.publish_abort(
-            static_cast<std::uint64_t>(TransportAbortCode::kOther));
+            static_cast<std::uint64_t>(TransportAbortCode::kOther), rank);
       }
       session_.post_ready(rank, trial.seq);
     }
@@ -270,6 +270,95 @@ TEST(TransportEquivalence, ViolationAbortsEveryRankAndRecovers) {
     expect_equal(a, b);
   }
   sharded.finish();
+}
+
+/// On a line, node `receiver` halts in round kRaceRound, and in that same
+/// round its lower neighbor — stepped first — sends to it. Every other node
+/// halts three rounds later, so the run goes on past the race.
+class HaltRace : public NodeProgram {
+ public:
+  static constexpr std::uint64_t kRaceRound = 2;
+
+  explicit HaltRace(std::uint32_t receiver) : receiver_(receiver) {}
+
+  void on_round(NodeContext& ctx) override {
+    if (ctx.round() == kRaceRound && ctx.id() + 1 == receiver_) {
+      Message msg;
+      msg.push_field(1, 8);
+      ctx.send(receiver_, msg);
+    }
+    if (ctx.round() == (ctx.id() == receiver_ ? kRaceRound : kRaceRound + 3)) {
+      ctx.halt();
+    }
+  }
+
+ private:
+  std::uint32_t receiver_;
+};
+
+void run_halt_race(Engine& engine, std::uint32_t receiver) {
+  std::vector<HaltRace> programs(engine.graph().num_nodes(),
+                                 HaltRace(receiver));
+  std::vector<NodeProgram*> raw;
+  for (HaltRace& p : programs) raw.push_back(&p);
+  engine.run(raw, 1);
+}
+
+TEST(TransportEquivalence, HaltedReceiverThrowsOnEveryBackend) {
+  // A message queued for a node that halts in the send round is a racy
+  // termination in the strict model, whichever rank owns either end. Over
+  // 2 ranks, nodes {0, 1} sit on rank 0 and {2, 3} on rank 1: receivers 1
+  // and 3 race within one rank, receiver 2 across the shard boundary.
+  const Graph g = Graph::line(4);
+  const EngineConfig config{Model::kCongest, 64, 100, 0};
+  for (std::uint32_t receiver = 1; receiver < 4; ++receiver) {
+    Engine engine(g, config);
+    EXPECT_THROW(run_halt_race(engine, receiver), ProtocolViolation)
+        << "in process, receiver " << receiver;
+  }
+
+  ShmSession session =
+      ShmSession::create_anonymous(ShmSession::Options{.num_ranks = 2});
+  WorkerGroup group(session, [&](std::uint32_t rank) {
+    Engine engine(g, config);
+    ShmTransport transport(session, rank);
+    engine.set_transport(&transport);
+    std::uint64_t last_seq = 0;
+    for (;;) {
+      const ShmSession::Trial trial = session.wait_trial(last_seq);
+      if (trial.shutdown) return;
+      last_seq = trial.seq;
+      try {
+        run_halt_race(engine, static_cast<std::uint32_t>(trial.flags));
+      } catch (const TransportAborted&) {
+      } catch (const ProtocolViolation&) {
+        // The engine already published the abort code on its unwind path.
+      } catch (...) {
+        session.publish_abort(
+            static_cast<std::uint64_t>(TransportAbortCode::kOther), rank);
+      }
+      session.post_ready(rank, trial.seq);
+    }
+  });
+  Engine engine(g, config);
+  ShmTransport transport(session, 0);
+  engine.set_transport(&transport);
+  for (std::uint32_t receiver = 1; receiver < 4; ++receiver) {
+    const std::uint64_t seq = session.begin_trial(1, receiver);
+    bool violation = false;
+    try {
+      run_halt_race(engine, receiver);
+    } catch (const ProtocolViolation&) {
+      violation = true;
+    } catch (const TransportAborted&) {
+      violation = session.abort_code() ==
+                  static_cast<std::uint64_t>(
+                      TransportAbortCode::kProtocolViolation);
+    }
+    session.post_ready(0, seq);
+    EXPECT_TRUE(violation) << "2 shm ranks, receiver " << receiver;
+  }
+  group.finish();
 }
 
 TEST(TransportEquivalence, AttachedDriverIsSingleLease) {

@@ -32,11 +32,13 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "dut/obs/env.hpp"
 #include "dut/obs/json.hpp"
 #include "dut/obs/trace_reader.hpp"
 
@@ -496,7 +498,12 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
       opts.report_path = argv[++i];
     } else if (std::strcmp(argv[i], "--run") == 0 && i + 1 < argc) {
-      opts.run_index = static_cast<std::size_t>(std::stoull(argv[++i]));
+      // SIZE_MAX is the "per-command default" sentinel, so it is out of
+      // range here.
+      const std::optional<std::uint64_t> run =
+          dut::obs::parse_u64(argv[++i], 0, SIZE_MAX - 1);
+      if (!run) return usage();
+      opts.run_index = static_cast<std::size_t>(*run);
     } else {
       return usage();
     }

@@ -25,8 +25,12 @@
 // percentiles, and an FNV digest of the full verdict stream. Everything
 // except the `timing:`-prefixed wall-clock lines is a pure function of the
 // flags — tools/run_smoke.sh --serve diffs the output across thread and
-// shard counts. Serve flags are parsed strictly (obs::parse_u64 semantics):
-// a malformed value is a usage error, never a silent default.
+// shard counts.
+//
+// Every flag value is parsed strictly: an integer must be all decimal
+// digits (obs::parse_u64 semantics), a real must parse whole, and both must
+// lie in the flag's range; anything else is a usage error (exit status 2),
+// never a silent default or a truncated value.
 //
 // --faults takes a net::FaultPlan spec (drop= dup= corrupt= delay=P[:MAX]
 // crash=NODE@ROUND[+...] seed=S) and switches run-congest to the resilient
@@ -43,8 +47,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -96,24 +102,49 @@ class Args {
     }
   }
 
-  std::uint64_t integer(const std::string& flag, std::uint64_t fallback,
-                        bool required = false) const {
+  /// The value of --flag as a decimal integer in [min, max]; `fallback`
+  /// when the flag is absent and not `required`.
+  std::uint64_t integer(
+      const std::string& flag, std::uint64_t fallback, bool required = false,
+      std::uint64_t min = 0,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
     const auto it = values_.find(flag);
     if (it == values_.end()) {
       if (required) usage(("missing required --" + flag).c_str());
       return fallback;
     }
-    return std::strtoull(it->second.c_str(), nullptr, 10);
+    const std::optional<std::uint64_t> value =
+        obs::parse_u64(it->second.c_str(), min, max);
+    if (!value) {
+      usage(("--" + flag + " wants an integer in [" + std::to_string(min) +
+             ", " + std::to_string(max) + "], got '" + it->second + "'")
+                .c_str());
+    }
+    return *value;
   }
 
-  double real(const std::string& flag, double fallback,
-              bool required = false) const {
+  /// The value of --flag as a finite real in [min, max]; `fallback` when
+  /// the flag is absent and not `required`.
+  double real(const std::string& flag, double fallback, bool required = false,
+              double min = std::numeric_limits<double>::lowest(),
+              double max = std::numeric_limits<double>::max()) const {
     const auto it = values_.find(flag);
     if (it == values_.end()) {
       if (required) usage(("missing required --" + flag).c_str());
       return fallback;
     }
-    return std::strtod(it->second.c_str(), nullptr);
+    const char* raw = it->second.c_str();
+    errno = 0;
+    char* end = nullptr;
+    const double value = std::strtod(raw, &end);
+    if (end == raw || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value) || value < min || value > max) {
+      std::ostringstream message;
+      message << "--" << flag << " wants a real in [" << min << ", " << max
+              << "], got '" << it->second << "'";
+      usage(message.str().c_str());
+    }
+    return value;
   }
 
   std::string text(const std::string& flag, const std::string& fallback) const {
@@ -191,7 +222,8 @@ int plan_and_cmd(const Args& args) {
 
 int plan_congest_cmd(const Args& args) {
   const std::uint64_t n = args.integer("n", 0, true);
-  const auto k = static_cast<std::uint32_t>(args.integer("k", 0, true));
+  const auto k = static_cast<std::uint32_t>(
+      args.integer("k", 0, true, 0, 0xffffffffull));
   const double eps = args.real("eps", 0.0, true);
   const double p = args.real("p", 1.0 / 3.0);
   const std::uint64_t samples = args.integer("samples", 1);
@@ -275,7 +307,8 @@ struct CongestRun {
 
 CongestRun make_congest_run(const Args& args) {
   const std::uint64_t n = args.integer("n", 0, true);
-  const auto k = static_cast<std::uint32_t>(args.integer("k", 0, true));
+  const auto k = static_cast<std::uint32_t>(
+      args.integer("k", 0, true, 0, 0xffffffffull));
   const double eps = args.real("eps", 0.0, true);
   const double p = args.real("p", 1.0 / 3.0);
   const std::string fault_spec = args.text("faults", "");
@@ -339,8 +372,8 @@ void print_congest_summary(const CongestRun& run,
 
 int run_congest_sharded(const Args& args, const char* exe,
                         const std::vector<std::string>& raw_args) {
-  const auto workers =
-      static_cast<std::uint32_t>(args.integer("workers", 0, true));
+  const auto workers = static_cast<std::uint32_t>(
+      args.integer("workers", 0, true, 2, net::shm::kMaxRanks));
   const CongestRun run = make_congest_run(args);
   if (!run.plan.feasible) {
     std::printf("infeasible: %s\n", run.plan.infeasible_reason.c_str());
@@ -417,61 +450,25 @@ int run_congest_cmd(const Args& args, const char* exe,
   return 0;
 }
 
-// Strict flag parsing for the serve subcommand: the whole value must be a
-// decimal integer (obs::parse_u64) or a full real number in range; anything
-// else — trailing junk, overflow, out of range — is a usage error, never a
-// silent default. The other subcommands keep the historical lenient
-// parsing; new commands should use these.
-std::uint64_t strict_integer(const Args& args, const std::string& flag,
-                             std::uint64_t fallback, std::uint64_t min,
-                             std::uint64_t max) {
-  const std::string raw = args.text(flag, "");
-  if (raw.empty()) return fallback;
-  const std::optional<std::uint64_t> value =
-      obs::parse_u64(raw.c_str(), min, max);
-  if (!value) {
-    usage(("--" + flag + " wants an integer in [" + std::to_string(min) +
-           ", " + std::to_string(max) + "], got '" + raw + "'")
-              .c_str());
-  }
-  return *value;
-}
-
-double strict_real(const Args& args, const std::string& flag, double fallback,
-                   double min, double max) {
-  const std::string raw = args.text(flag, "");
-  if (raw.empty()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0' || errno == ERANGE || value < min ||
-      value > max) {
-    usage(("--" + flag + " wants a real in [" + std::to_string(min) + ", " +
-           std::to_string(max) + "], got '" + raw + "'")
-              .c_str());
-  }
-  return value;
-}
-
 int serve_cmd(const Args& args) {
   serve::ServeConfig config;
-  config.domain = strict_integer(args, "n", 1 << 12, 2, 0xffffffffull);
-  config.epsilon = strict_real(args, "eps", 1.6, 1e-3, 2.0);
-  config.error = strict_real(args, "p", 1.0 / 3.0, 1e-6, 0.499);
+  config.domain = args.integer("n", 1 << 12, false, 2, 0xffffffffull);
+  config.epsilon = args.real("eps", 1.6, false, 1e-3, 2.0);
+  config.error = args.real("p", 1.0 / 3.0, false, 1e-6, 0.499);
   config.bound = args.flag("chernoff") ? core::TailBound::kChernoff
                                        : core::TailBound::kExactBinomial;
-  config.streams = strict_integer(args, "streams", 1024, 1, 0xffffffffull);
-  config.shards = static_cast<std::uint32_t>(
-      strict_integer(args, "shards", 1, 1, 1 << 16));
-  config.threads = static_cast<unsigned>(
-      strict_integer(args, "threads", 0, 0, 1024));
-  config.zipf_theta = strict_real(args, "zipf", 0.99, 0.0, 32.0);
-  config.far_every = strict_integer(args, "far-every", 16, 0, 0xffffffffull);
+  config.streams = args.integer("streams", 1024, false, 1, 0xffffffffull);
+  config.shards =
+      static_cast<std::uint32_t>(args.integer("shards", 1, false, 1, 1 << 16));
+  config.threads =
+      static_cast<unsigned>(args.integer("threads", 0, false, 0, 1024));
+  config.zipf_theta = args.real("zipf", 0.99, false, 0.0, 32.0);
+  config.far_every = args.integer("far-every", 16, false, 0, 0xffffffffull);
   config.batch_per_epoch =
-      strict_integer(args, "batch", 0, 0, std::uint64_t{1} << 32);
-  config.seed = strict_integer(args, "seed", 1, 0, ~std::uint64_t{0} - 1);
+      args.integer("batch", 0, false, 0, std::uint64_t{1} << 32);
+  config.seed = args.integer("seed", 1, false, 0, ~std::uint64_t{0} - 1);
   const std::uint64_t epochs =
-      strict_integer(args, "duration-epochs", 8, 1, 1 << 20);
+      args.integer("duration-epochs", 8, false, 1, 1 << 20);
 
   // Reject-with-message on infeasible (n, eps, p) regimes, matching the
   // planners above (and FleetMonitor's construction contract).
@@ -611,17 +608,25 @@ int main(int argc, char** argv) {
   // coordinator shuts the session down.
   if (argc >= 6 && std::string(argv[1]) == "--worker" &&
       std::string(argv[3]) == "--shm") {
-    const auto rank =
-        static_cast<std::uint32_t>(std::strtoul(argv[2], nullptr, 10));
+    const std::optional<std::uint64_t> rank =
+        obs::parse_u64(argv[2], 1, net::shm::kMaxRanks - 1);
+    if (!rank) {
+      usage(("--worker wants a rank in [1, " +
+             std::to_string(net::shm::kMaxRanks - 1) + "], got '" + argv[2] +
+             "'")
+                .c_str());
+    }
     const std::string shm_name = argv[4];
     if (std::string(argv[5]) != "run-congest") {
       usage("--worker mode only supports run-congest");
     }
     const Args args(argc, argv, 6);
     try {
-      return run_congest_worker(rank, shm_name, args);
+      return run_congest_worker(static_cast<std::uint32_t>(*rank), shm_name,
+                                args);
     } catch (const std::exception& error) {
-      std::fprintf(stderr, "worker %u error: %s\n", rank, error.what());
+      std::fprintf(stderr, "worker %llu error: %s\n",
+                   static_cast<unsigned long long>(*rank), error.what());
       return 1;
     }
   }

@@ -11,12 +11,36 @@
 #        run_smoke.sh --sarif <dut_lint-binary> <repo-root>
 #        run_smoke.sh --serve <dut_cli-binary>
 #        run_smoke.sh --workers <dut_cli-binary>
+#        run_smoke.sh --usage-error <binary> [args...]
 # Registered per experiment as the smoke_* ctest entries (bench/CMakeLists);
 # --replay additionally re-executes the transcript with dut_replay and
 # byte-diffs it (the smoke_replay entries); the --lint mode is the
 # smoke_lint entry (tools/dut_lint/CMakeLists); the --serve and --workers
-# modes are the smoke_serve and smoke_cli_workers entries (tools/CMakeLists).
+# modes are the smoke_serve and smoke_cli_workers entries, and --usage-error
+# the *_rejects_* entries (tools/CMakeLists).
 set -euo pipefail
+
+# Usage-error mode: a malformed command line must be refused with exit
+# status 2 and the usage text on stderr. A crash or any other failure would
+# also satisfy ctest's WILL_FAIL, so the status and the text are checked.
+if [ "${1:-}" = "--usage-error" ]; then
+  if [ "$#" -lt 2 ]; then
+    echo "usage: $0 --usage-error <binary> [args...]" >&2
+    exit 2
+  fi
+  binary=$2
+  shift 2
+  status=0
+  stderr=$("$binary" "$@" 2>&1 >/dev/null) || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q '^usage:' <<<"$stderr"; then
+    echo "smoke: expected exit status 2 and the usage text, got status" \
+         "$status:" >&2
+    echo "$stderr" >&2
+    exit 1
+  fi
+  echo "smoke: refused with the usage text (exit status 2)"
+  exit 0
+fi
 
 # Serve mode: the `dut_cli serve` output is a pure function of its flags
 # except the "timing:" trailer, so a serial single-shard run and an
