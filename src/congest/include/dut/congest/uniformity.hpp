@@ -106,7 +106,7 @@ struct CongestSetup {
   PackagingResilience schedule;  ///< disabled ⇒ plain protocol
 };
 
-struct CongestRunResult {
+struct [[nodiscard]] CongestRunResult {
   core::Verdict verdict;            ///< voters = token packages
   std::uint64_t num_packages = 0;   ///< packages actually formed
   std::uint32_t leader = 0;         ///< engine id of the winning root
@@ -163,7 +163,7 @@ CongestSetup make_congest_setup(const CongestPlan& plan,
 /// repetitions). Per-side error drops from p to
 /// exp(-Omega(repetitions * (1/2 - p)^2)); rounds scale linearly in
 /// `repetitions` (sequential executions).
-struct AmplifiedCongestResult {
+struct [[nodiscard]] AmplifiedCongestResult {
   core::Verdict verdict;  ///< voters = repetitions; rounds/bits are totals
   std::uint64_t total_rounds = 0;
   std::uint64_t total_messages = 0;

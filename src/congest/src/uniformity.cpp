@@ -245,7 +245,7 @@ CongestRunResult run_congest_trial(const CongestPlan& plan,
                                    const core::AliasSampler& sampler,
                                    const std::vector<std::uint64_t>& counts,
                                    std::uint64_t seed, bool traced,
-                                   detail::Annotations annotations) {
+                                   net::Engine::RunPreamble preamble) {
   detail::check_congest_trial(plan, sampler, counts);
   const std::uint32_t k = setup.driver.graph().num_nodes();
 
@@ -270,7 +270,7 @@ CongestRunResult run_congest_trial(const CongestPlan& plan,
   // inside it (the extract callback runs before the engine lease returns).
   obs::PhaseTimer route_span("route");
   return setup.driver.run_trial(
-      seed, traced, std::move(annotations),
+      seed, traced, std::move(preamble),
       [&](std::uint32_t v) {
         return std::make_unique<detail::UniformityTestProgram>(
             ids[v], std::move(tokens[v]), plan, widths, setup.schedule);
@@ -418,8 +418,11 @@ CongestRunResult run_congest_uniformity(const CongestPlan& plan,
                                         std::uint64_t seed, bool traced) {
   return run_congest_trial(
       plan, setup, sampler, detail::uniform_counts(plan), seed, traced,
-      detail::congest_annotations(plan, setup.driver.graph(), setup.schedule,
-                                  sampler, setup.driver.fault_plan()));
+      [&plan, &setup, &sampler] {
+        return detail::congest_annotations(plan, setup.driver.graph(),
+                                           setup.schedule, sampler,
+                                           setup.driver.fault_plan());
+      });
 }
 
 CongestRunResult run_congest_uniformity_heterogeneous(
@@ -470,7 +473,7 @@ PackagingRunResult run_token_packaging(PackagingSetup& setup,
 
   obs::PhaseTimer route_span("route");
   return setup.driver.run_trial(
-      seed, traced, packaging_annotations(setup),
+      seed, traced, [&setup] { return packaging_annotations(setup); },
       [&](std::uint32_t v) {
         return std::make_unique<TokenPackagingProgram>(
             ids[v], std::vector<std::uint64_t>{v}, setup.tau, widths,

@@ -70,7 +70,7 @@ LocalPlan plan_local(std::uint64_t n, const net::Graph& graph, double epsilon,
                      double p, std::uint64_t samples_per_node,
                      std::uint64_t seed, std::uint32_t max_radius = 64);
 
-struct LocalRunResult {
+struct [[nodiscard]] LocalRunResult {
   /// Voters = MIS nodes; accepts iff every MIS node accepts (AND rule).
   core::Verdict verdict;
   /// Fault runs only: MIS nodes that gathered fewer samples than the

@@ -152,14 +152,16 @@ MisResult compute_mis(const net::Graph& graph, std::uint64_t seed,
     // Replay preamble: the run seed is already in run_start, so the spec'd
     // topology (plus the optional phase cap and fault plan) fully determines
     // this run. Hand-built graphs have no spec and stay unreplayable.
-    std::vector<std::pair<std::string, std::string>> ann;
-    ann.emplace_back("proto", "mis");
-    ann.emplace_back("topo", graph.spec());
-    if (max_phases != UINT64_MAX) {
-      ann.emplace_back("cap", std::to_string(max_phases));
-    }
-    if (faults != nullptr) ann.emplace_back("faults", faults->spec());
-    engine.set_run_annotations(std::move(ann));
+    engine.set_run_preamble([&graph, faults, max_phases] {
+      std::vector<std::pair<std::string, std::string>> ann;
+      ann.emplace_back("proto", "mis");
+      ann.emplace_back("topo", graph.spec());
+      if (max_phases != UINT64_MAX) {
+        ann.emplace_back("cap", std::to_string(max_phases));
+      }
+      if (faults != nullptr) ann.emplace_back("faults", faults->spec());
+      return ann;
+    });
   }
   engine.run(raw);
 

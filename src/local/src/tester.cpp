@@ -312,7 +312,10 @@ LocalRunResult run_local_uniformity(const LocalPlan& plan,
 
   obs::PhaseTimer route_span("route");
   return driver.run_trial(
-      seed, traced, local_annotations(plan, driver, sampler),
+      seed, traced,
+      [&plan, &driver, &sampler] {
+        return local_annotations(plan, driver, sampler);
+      },
       [&](std::uint32_t v) {
         return std::make_unique<GatherProgram>(k, plan.radius,
                                                plan.assignment[v],

@@ -65,11 +65,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -256,13 +258,19 @@ class Engine : private TransportHooks {
   void set_budget_spec(const obs::BudgetSpec& spec) { budget_spec_ = spec; }
   void clear_budget_spec() noexcept { budget_spec_.reset(); }
 
-  /// Replay metadata stamped into the next runs' run_start preambles
-  /// (trace.hpp); cleared only by the next call, so pooled engines must be
-  /// re-stamped (or blanked) per lease. Runners pass it through
-  /// ProtocolDriver::run_trial.
-  void set_run_annotations(
-      std::vector<std::pair<std::string, std::string>> annotations) {
-    run_annotations_ = std::move(annotations);
+  /// Builds the replay metadata of a run_start preamble (trace.hpp).
+  using RunPreamble =
+      std::function<std::vector<std::pair<std::string, std::string>>()>;
+
+  /// The preamble builder for the next runs. run() calls it only when the
+  /// run has a trace sink, before the transcript opens: an untraced run
+  /// never renders its preamble, so a setup that has no replay spec (a
+  /// per-edge FaultPlan) still runs, while a traced one fails with the
+  /// builder's exception and writes nothing. Replaced only by the next
+  /// call, so pooled engines must be re-stamped (or blanked) per lease.
+  /// Runners pass it through ProtocolDriver::run_trial.
+  void set_run_preamble(RunPreamble preamble) {
+    run_preamble_ = std::move(preamble);
   }
 
  private:
@@ -339,7 +347,7 @@ class Engine : private TransportHooks {
 
   obs::BudgetLedger ledger_;
   std::optional<obs::BudgetSpec> budget_spec_;  // set_budget_spec override
-  std::vector<std::pair<std::string, std::string>> run_annotations_;
+  RunPreamble run_preamble_;
 };
 
 }  // namespace dut::net

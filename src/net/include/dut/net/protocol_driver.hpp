@@ -114,21 +114,21 @@ class ProtocolDriver {
   /// leased engine's delivery backend (the attached one, else the engine's
   /// InProcTransport): extractors that merge per-rank state use its
   /// shard() and exchange_summaries(). `traced` gates DUT_TRACE resolution
-  /// for this trial (see file comment). `annotations` is the replay preamble
-  /// stamped into the run_start trace event (trace.hpp) — it is set on the
-  /// leased engine unconditionally, empty included, because pooled engines
-  /// remember their last stamp. Thread-safe; concurrent callers lease
+  /// for this trial (see file comment). `preamble` builds the replay
+  /// metadata of the run_start trace event (trace.hpp); the engine calls it
+  /// only when the trial is traced (Engine::set_run_preamble). It is set on
+  /// the leased engine unconditionally, empty included, because pooled
+  /// engines remember their last one. Thread-safe; concurrent callers lease
   /// distinct engines.
   template <typename MakeProgram, typename Extract>
-  [[nodiscard]] auto run_trial(
-      std::uint64_t seed, bool traced,
-      std::vector<std::pair<std::string, std::string>> annotations,
-      MakeProgram&& make, Extract&& extract) {
+  [[nodiscard]] auto run_trial(std::uint64_t seed, bool traced,
+                               Engine::RunPreamble preamble,
+                               MakeProgram&& make, Extract&& extract) {
     using ProgramPtr = std::invoke_result_t<MakeProgram&, std::uint32_t>;
     const std::uint32_t k = graph_.num_nodes();
     Lease lease = acquire();
     lease.engine().set_env_trace(traced);
-    lease.engine().set_run_annotations(std::move(annotations));
+    lease.engine().set_run_preamble(std::move(preamble));
     std::vector<ProgramPtr> programs;
     programs.reserve(k);
     std::vector<NodeProgram*>& table = lease.program_table();
@@ -143,7 +143,8 @@ class ProtocolDriver {
                    lease.engine().transport());
   }
 
-  /// Same, without replay metadata (the leased engine's stamp is blanked).
+  /// Same, without replay metadata (the leased engine's preamble is
+  /// blanked).
   template <typename MakeProgram, typename Extract>
   [[nodiscard]] auto run_trial(std::uint64_t seed, bool traced,
                                MakeProgram&& make, Extract&& extract) {

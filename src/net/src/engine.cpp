@@ -259,17 +259,26 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
   // transports suffix the path so every rank writes its own shard. The
   // writer lives only for this run so the process-wide file lock it holds is
   // released on every exit path, including throws.
-  std::unique_ptr<obs::JsonlTraceWriter> env_writer;
   active_sink_ = trace_sink_;
+  const char* env_path = nullptr;
   if (active_sink_ == nullptr && env_trace_ && obs::enabled()) {
-    if (const char* path = std::getenv("DUT_TRACE");
-        path != nullptr && *path != '\0') {
-      const std::uint64_t tail =
-          obs::env_u64("DUT_TRACE_TAIL", 0, 1ULL << 32).value_or(0);
-      env_writer = std::make_unique<obs::JsonlTraceWriter>(
-          std::string(path) + transport_->trace_suffix(), tail);
-      active_sink_ = env_writer.get();
-    }
+    env_path = std::getenv("DUT_TRACE");
+    if (env_path != nullptr && *env_path == '\0') env_path = nullptr;
+  }
+  // Only a traced run renders its replay preamble, and before the
+  // transcript opens, so a preamble that cannot be rendered fails the run
+  // without leaving a file behind.
+  std::vector<std::pair<std::string, std::string>> annotations;
+  if ((active_sink_ != nullptr || env_path != nullptr) && run_preamble_) {
+    annotations = run_preamble_();
+  }
+  std::unique_ptr<obs::JsonlTraceWriter> env_writer;
+  if (env_path != nullptr) {
+    const std::uint64_t tail =
+        obs::env_u64("DUT_TRACE_TAIL", 0, 1ULL << 32).value_or(0);
+    env_writer = std::make_unique<obs::JsonlTraceWriter>(
+        std::string(env_path) + transport_->trace_suffix(), tail);
+    active_sink_ = env_writer.get();
   }
   trace_delivers_ =
       active_sink_ != nullptr &&
@@ -287,7 +296,7 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
     info.seed = seed;
     info.level = trace_delivers_ ? 2 : 1;
     info.budget = ledger_.spec();
-    info.annotations = run_annotations_;
+    info.annotations = std::move(annotations);
     active_sink_->on_run_start(info);
   }
 

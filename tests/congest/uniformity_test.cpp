@@ -286,14 +286,14 @@ TEST(CongestTester, HeterogeneousCountsValidation) {
   // Wrong total (ell would change).
   std::vector<std::uint64_t> wrong_total(1024, 15);
   EXPECT_THROW(
-      run_congest_uniformity_heterogeneous(plan, g, uni, wrong_total, 1),
+      (void)run_congest_uniformity_heterogeneous(plan, g, uni, wrong_total, 1),
       std::invalid_argument);
   // A node with zero samples cannot participate in packaging.
   std::vector<std::uint64_t> with_zero(1024, 16);
   with_zero[0] = 0;
   with_zero[1] = 32;
   EXPECT_THROW(
-      run_congest_uniformity_heterogeneous(plan, g, uni, with_zero, 1),
+      (void)run_congest_uniformity_heterogeneous(plan, g, uni, with_zero, 1),
       std::invalid_argument);
 }
 

@@ -1,5 +1,6 @@
 // Intentional violation: the lint_gate_detects_injection ctest points
-// dut_lint at this mini-repo and asserts the gate exits nonzero.
+// dut_lint at this mini-repo and requires exit status 1 with a
+// [no-random-device] finding.
 
 #include <random>
 

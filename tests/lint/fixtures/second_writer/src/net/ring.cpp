@@ -1,6 +1,7 @@
 // Mini-repo for the lint_gate_detects_second_writer ctest: the ring tail
 // gains a second writer scope with no handoff annotation, so the census
-// must flag it and the gate must exit nonzero (the test is WILL_FAIL).
+// must flag it and the gate must exit 1 with a [shared-write-outside-owner]
+// finding.
 
 #include <atomic>
 

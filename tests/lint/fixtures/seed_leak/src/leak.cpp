@@ -1,6 +1,6 @@
 // Mini-repo for the lint_gate_detects_seed_taint ctest: a bare sweep seed
 // turned into RNG state outside the blessed derivation funnels. The gate
-// must exit nonzero on this tree (the test is WILL_FAIL).
+// must exit 1 on this tree with a [seed-unkeyed-derivation] finding.
 
 #include <cstdint>
 

@@ -1,37 +1,36 @@
-// Lint fixture: verdict-producing API declarations. Scanned as a src/
-// public header by lint_test.cpp; never compiled.
+// Lint fixture: verdict-carrying types. Scanned as a src/ public header by
+// lint_test.cpp; never compiled.
 
 namespace fixture {
 
-struct Verdict {
+struct Verdict {  // -> verdict-nodiscard
   bool accepts = true;
 };
 
 // A *Result type qualifies because it carries a Verdict member.
-struct TrialResult {
+struct TrialResult {  // -> verdict-nodiscard
   Verdict verdict;
   unsigned long rounds = 0;
 };
 
-Verdict run_fixture_protocol(int nodes);       // -> verdict-nodiscard
-TrialResult run_fixture_trial(int nodes);      // -> verdict-nodiscard
-[[nodiscard]] Verdict run_protected(int nodes);  // protected: no finding
-
-// The anytime-funnel pattern: a type-level [[nodiscard]] protects every
-// producer returning the type, with no per-function attribute.
+// The type-level attribute: the compiler refuses every discarded value.
 struct [[nodiscard]] AnytimeResult {
   Verdict verdict;
   unsigned long samples = 0;
 };
 
-AnytimeResult poll_fixture_stream(int stream);  // type-protected: no finding
-
-// A second unattributed *Result type keeps the corpus honest: producers
-// returning it still need the function-level attribute.
-struct EpochScanResult {
-  Verdict verdict;
+// A *Result type without a Verdict member carries no verdict.
+struct PackagingResult {
+  unsigned long packages = 0;
 };
 
-EpochScanResult close_fixture_epoch(int epoch);  // -> verdict-nodiscard
+// A forward declaration and a function-level attribute do not count: the
+// definition must carry the attribute for every producer to be covered.
+struct EpochScanResult;
+[[nodiscard]] EpochScanResult close_fixture_epoch(int epoch);
+
+struct EpochScanResult {  // -> verdict-nodiscard
+  Verdict verdict;
+};
 
 }  // namespace fixture

@@ -1,8 +1,8 @@
 // dut_lint self-tests: per-rule detection on fixtures with known violations,
-// suppression round-trips, baseline add/remove semantics and the JSON report
-// schema. Fixtures live in tests/lint/fixtures/ — a directory name the repo
-// gate's source walk skips, so their intentional violations never fail the
-// real gate (that property is itself tested below).
+// suppression round-trips and the gate's report. Fixtures live in
+// tests/lint/fixtures/ — a directory name the repo gate's source walk skips,
+// so their intentional violations never fail the real gate (that property is
+// itself tested below).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "dut/obs/json.hpp"
 #include "dut_lint/lint.hpp"
 
 namespace dut::lint {
@@ -165,38 +164,37 @@ TEST(LintScan, DigitSeparatorsAreNotCharLiterals) {
   EXPECT_EQ(count_rule(result, "no-random-device"), 1u);
 }
 
-TEST(LintRules, VerdictProducersNeedNodiscardAndCallersMustConsume) {
+TEST(LintRules, VerdictTypesMustBeNodiscardAtTypeLevel) {
+  // Verdict, TrialResult and EpochScanResult carry a verdict without the
+  // type-level attribute. AnytimeResult has it, PackagingResult carries no
+  // verdict, and neither a forward declaration nor a function-level
+  // [[nodiscard]] counts.
+  const std::string text = read_fixture("verdict_api.hpp");
   const LintResult result = run_lint(
-      {scan_fixture("verdict_api.hpp",
-                    "src/core/include/dut/core/verdict_api.hpp"),
-       scan_fixture("verdict_use.cpp", "src/core/src/verdict_use.cpp")});
-
-  // run_fixture_protocol, run_fixture_trial and close_fixture_epoch lack
-  // [[nodiscard]]; run_protected carries the function attribute and
-  // poll_fixture_stream returns the type-level [[nodiscard]] AnytimeResult
-  // (the anytime-funnel pattern) — neither may be flagged.
-  EXPECT_EQ(count_rule(result, "verdict-nodiscard"), 3u);
+      {scan_file("src/core/include/dut/core/verdict_api.hpp", text)});
+  ASSERT_EQ(count_rule(result, "verdict-nodiscard"), 3u);
+  EXPECT_EQ(result.findings.size(), 3u);
+  std::vector<std::string> types;
   for (const Finding& f : result.findings) {
-    if (f.rule == "verdict-nodiscard") {
-      EXPECT_EQ(f.message.find("run_protected"), std::string::npos);
-      EXPECT_EQ(f.message.find("poll_fixture_stream"), std::string::npos);
-    }
+    types.push_back(f.message.substr(1, f.message.find('\'', 1) - 1));
   }
+  EXPECT_EQ(types, (std::vector<std::string>{"Verdict", "TrialResult",
+                                             "EpochScanResult"}));
 
-  // Only the statement-position call is a discard; the bound one is fine.
-  EXPECT_EQ(count_rule(result, "verdict-discarded"), 1u);
-  const Finding* d = find_rule(result, "verdict-discarded");
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->path, "src/core/src/verdict_use.cpp");
-}
+  // Every scanned file is covered, tests included.
+  const LintResult as_test =
+      run_lint({scan_file("tests/core/verdict_api.hpp", text)});
+  EXPECT_EQ(count_rule(as_test, "verdict-nodiscard"), 3u);
 
-TEST(LintRules, NodiscardDeclarationsAreOnlyRequiredInPublicHeaders) {
-  // The unprotected producer declared in a .cpp contributes to the producer
-  // corpus but is not itself a nodiscard finding.
-  const LintResult result = run_lint(
-      {scan_fixture("verdict_use.cpp", "src/core/src/verdict_use.cpp")});
-  EXPECT_EQ(count_rule(result, "verdict-nodiscard"), 0u);
-  EXPECT_EQ(count_rule(result, "verdict-discarded"), 1u);
+  // Dropping the attribute from AnytimeResult makes it a fourth finding.
+  const std::string attribute = "[[nodiscard]] ";
+  std::string stripped = text;
+  const std::size_t at = stripped.find(attribute + "AnytimeResult");
+  ASSERT_NE(at, std::string::npos);
+  stripped.erase(at, attribute.size());
+  const LintResult unprotected = run_lint(
+      {scan_file("src/core/include/dut/core/verdict_api.hpp", stripped)});
+  EXPECT_EQ(count_rule(unprotected, "verdict-nodiscard"), 4u);
 }
 
 TEST(LintRules, CleanFileWithCommentAndStringMentionsHasNoFindings) {
@@ -256,122 +254,14 @@ TEST(LintSuppression, DirectiveMustStartTheComment) {
   EXPECT_EQ(count_rule(result, "bad-suppression"), 0u);
 }
 
-// --- baseline --------------------------------------------------------------
-
-std::vector<Finding> sample_findings() {
-  const LintResult result =
-      run_lint({scan_fixture("d_rules.cpp", "src/core/src/d_rules.cpp")});
-  return result.findings;
-}
-
-TEST(LintBaseline, RoundTripMatchesEverything) {
-  const std::vector<Finding> findings = sample_findings();
-  ASSERT_EQ(findings.size(), 5u);
-
-  const std::vector<BaselineEntry> baseline =
-      parse_baseline(baseline_json(findings));
-  ASSERT_EQ(baseline.size(), 5u);
-
-  const BaselineDiff diff = diff_baseline(findings, baseline);
-  EXPECT_EQ(diff.matched, 5u);
-  EXPECT_TRUE(diff.fresh.empty());
-  EXPECT_TRUE(diff.stale.empty());
-}
-
-TEST(LintBaseline, NewFindingIsFreshAndRemovedOneIsStale) {
-  const std::vector<Finding> findings = sample_findings();
-  std::vector<BaselineEntry> baseline = parse_baseline(baseline_json(findings));
-
-  // Drop one entry: the corresponding finding becomes fresh (gate fails).
-  const BaselineEntry dropped = baseline.back();
-  baseline.pop_back();
-  BaselineDiff diff = diff_baseline(findings, baseline);
-  EXPECT_EQ(diff.matched, 4u);
-  ASSERT_EQ(diff.fresh.size(), 1u);
-  EXPECT_EQ(diff.fresh[0].rule, dropped.rule);
-
-  // Add an entry matching nothing: stale, but not a failure by itself.
-  baseline.push_back(dropped);
-  baseline.push_back({"no-libc-rand", "src/gone.cpp", "rand();"});
-  diff = diff_baseline(findings, baseline);
-  EXPECT_EQ(diff.matched, 5u);
-  EXPECT_TRUE(diff.fresh.empty());
-  ASSERT_EQ(diff.stale.size(), 1u);
-  EXPECT_EQ(diff.stale[0].path, "src/gone.cpp");
-}
-
-TEST(LintBaseline, MatchingIgnoresLineNumbers) {
-  std::vector<Finding> findings = sample_findings();
-  const std::vector<BaselineEntry> baseline =
-      parse_baseline(baseline_json(findings));
-  for (Finding& f : findings) f.line += 100;  // simulate unrelated edits
-  const BaselineDiff diff = diff_baseline(findings, baseline);
-  EXPECT_EQ(diff.matched, findings.size());
-  EXPECT_TRUE(diff.fresh.empty());
-}
-
-TEST(LintBaseline, RejectsUnknownVersionAndMalformedEntries) {
-  EXPECT_THROW((void)parse_baseline("{\"version\": 2, \"findings\": []}"),
-               std::runtime_error);
-  EXPECT_THROW((void)parse_baseline("{\"findings\": []}"),
-               std::runtime_error);
-  EXPECT_THROW(
-      (void)parse_baseline(
-          "{\"version\": 1, \"findings\": [{\"rule\": \"no-libc-rand\"}]}"),
-      std::runtime_error);
-  EXPECT_THROW((void)parse_baseline("not json"), std::runtime_error);
-}
-
-// --- report schema ---------------------------------------------------------
-
-TEST(LintReport, JsonReportMatchesSchemaVersionOne) {
-  const LintResult result = run_lint(
-      {scan_fixture("d_rules.cpp", "src/core/src/d_rules.cpp"),
-       scan_fixture("suppressed.cpp", "src/core/src/suppressed.cpp")});
-  const BaselineDiff diff = diff_baseline(result.findings, {});
-
-  const obs::Json doc = obs::Json::parse(result_json(result, diff));
-  ASSERT_TRUE(doc.is_object());
-  ASSERT_NE(doc.get("version"), nullptr);
-  EXPECT_EQ(doc.get("version")->as_u64(), 1u);
-  ASSERT_NE(doc.get("files_scanned"), nullptr);
-  EXPECT_EQ(doc.get("files_scanned")->as_u64(), 2u);
-
-  const obs::Json* findings = doc.get("findings");
-  ASSERT_NE(findings, nullptr);
-  ASSERT_TRUE(findings->is_array());
-  ASSERT_EQ(findings->size(), result.findings.size());
-  for (std::size_t i = 0; i < findings->size(); ++i) {
-    const obs::Json& f = findings->at(i);
-    for (const char* key : {"rule", "path", "message", "excerpt"}) {
-      ASSERT_NE(f.get(key), nullptr) << "finding missing key " << key;
-      EXPECT_TRUE(f.get(key)->is_string());
-    }
-    ASSERT_NE(f.get("line"), nullptr);
-    EXPECT_TRUE(f.get("line")->is_number());
-  }
-
-  const obs::Json* suppressed = doc.get("suppressed");
-  ASSERT_NE(suppressed, nullptr);
-  ASSERT_EQ(suppressed->size(), 2u);
-  for (std::size_t i = 0; i < suppressed->size(); ++i) {
-    ASSERT_NE(suppressed->at(i).get("justification"), nullptr);
-  }
-
-  const obs::Json* baseline = doc.get("baseline");
-  ASSERT_NE(baseline, nullptr);
-  ASSERT_NE(baseline->get("matched"), nullptr);
-  ASSERT_NE(baseline->get("fresh"), nullptr);
-  ASSERT_NE(baseline->get("stale"), nullptr);
-  EXPECT_EQ(baseline->get("fresh")->size(), result.findings.size());
-}
+// --- report --------------------------------------------------------------
 
 TEST(LintReport, HumanReportSummarizesCounts) {
   const LintResult result =
       run_lint({scan_fixture("d_rules.cpp", "src/core/src/d_rules.cpp")});
-  const BaselineDiff diff = diff_baseline(result.findings, {});
-  const std::string report = human_report(result, diff);
-  EXPECT_NE(report.find("dut_lint: 5 new findings"), std::string::npos);
+  const std::string report = human_report(result);
+  EXPECT_NE(report.find("dut_lint: 5 findings (0 suppressed) across 1 files"),
+            std::string::npos);
   EXPECT_NE(report.find("[no-random-device]"), std::string::npos);
 }
 
@@ -617,113 +507,6 @@ TEST(LintGraph, RecordsDeclsParamsQualifiersAndCallSites) {
 
   ASSERT_EQ(graph.by_name.count("helper"), 1u);
   EXPECT_EQ(graph.by_name.find("helper")->second.size(), 1u);
-}
-
-// --- SARIF -----------------------------------------------------------------
-
-TEST(LintSarif, ReportIsValidAndMapsSuppressionStates) {
-  const LintResult result = run_lint(
-      {scan_fixture("d_rules.cpp", "src/core/src/d_rules.cpp"),
-       scan_fixture("suppressed.cpp", "src/core/src/suppressed.cpp")});
-  ASSERT_EQ(result.findings.size(), 5u);
-  ASSERT_EQ(result.suppressed.size(), 2u);
-
-  // Baseline one finding: it must arrive suppressed {"kind": "external"}.
-  std::vector<BaselineEntry> baseline = {{result.findings[0].rule,
-                                          result.findings[0].path,
-                                          result.findings[0].excerpt}};
-  const BaselineDiff diff = diff_baseline(result.findings, baseline);
-  const std::string sarif = sarif_report(result, diff);
-  EXPECT_TRUE(sarif_validate(sarif).empty());
-
-  const obs::Json doc = obs::Json::parse(sarif);
-  EXPECT_EQ(doc.get("version")->as_string(), "2.1.0");
-  ASSERT_NE(doc.get("$schema"), nullptr);
-  const obs::Json& run = doc.get("runs")->at(0);
-  const obs::Json* driver = run.get("tool")->get("driver");
-  EXPECT_EQ(driver->get("name")->as_string(), "dut_lint");
-  EXPECT_EQ(driver->get("rules")->size(), rule_table().size());
-
-  const obs::Json* results = run.get("results");
-  ASSERT_EQ(results->size(),
-            result.findings.size() + result.suppressed.size());
-  std::size_t errors = 0, notes = 0, external = 0, in_source = 0;
-  for (std::size_t i = 0; i < results->size(); ++i) {
-    const obs::Json& res = results->at(i);
-    const std::string level = res.get("level")->as_string();
-    const obs::Json* sups = res.get("suppressions");
-    if (level == "error") ++errors;
-    if (level == "note") ++notes;
-    if (sups != nullptr) {
-      const std::string kind = sups->at(0).get("kind")->as_string();
-      if (kind == "external") ++external;
-      if (kind == "inSource") {
-        ++in_source;
-        ASSERT_NE(sups->at(0).get("justification"), nullptr);
-      }
-    } else {
-      EXPECT_EQ(level, "error");  // only fresh findings are unsuppressed
-    }
-  }
-  EXPECT_EQ(errors, 5u);  // all findings render at "error"
-  EXPECT_EQ(notes, 2u);
-  EXPECT_EQ(external, 1u);  // the baselined one
-  EXPECT_EQ(in_source, 2u);
-}
-
-TEST(LintSarif, ValidatorRejectsBrokenLogs) {
-  EXPECT_THROW((void)sarif_validate("not json"), std::runtime_error);
-  EXPECT_FALSE(sarif_validate("{}").empty());
-
-  const LintResult result =
-      run_lint({scan_fixture("d_rules.cpp", "src/core/src/d_rules.cpp")});
-  const std::string good =
-      sarif_report(result, diff_baseline(result.findings, {}));
-  ASSERT_TRUE(sarif_validate(good).empty());
-
-  std::string wrong_version = good;
-  const std::size_t v = wrong_version.find("\"version\": \"2.1.0\"");
-  ASSERT_NE(v, std::string::npos);
-  wrong_version.replace(v, 18, "\"version\": \"2.0.0\"");
-  EXPECT_FALSE(sarif_validate(wrong_version).empty());
-
-  std::string wrong_level = good;
-  const std::size_t l = wrong_level.find("\"level\": \"error\"");
-  ASSERT_NE(l, std::string::npos);
-  wrong_level.replace(l, 16, "\"level\": \"fatal\"");
-  EXPECT_FALSE(sarif_validate(wrong_level).empty());
-}
-
-// --- baseline double-booking -----------------------------------------------
-
-TEST(LintBaseline, WriteRefusesEntriesDoubleBookedWithSuppressions) {
-  // One live and one suppressed instance of the same (rule, path, excerpt)
-  // key: baselining the live one would silently cover the suppressed site
-  // forever once the live one is fixed, so it must be refused.
-  const std::string text =
-      "#include <random>\n"
-      "std::random_device a;\n"
-      "// dut-lint: allow(no-random-device): fixture justification text\n"
-      "std::random_device a;\n";
-  const LintResult result =
-      run_lint({scan_file("src/core/src/twin.cpp", text)});
-  ASSERT_EQ(result.findings.size(), 1u);
-  ASSERT_EQ(result.suppressed.size(), 1u);
-
-  std::vector<BaselineEntry> refused;
-  const std::vector<Finding> eligible =
-      baselineable_findings(result, &refused);
-  EXPECT_TRUE(eligible.empty());
-  ASSERT_EQ(refused.size(), 1u);
-  EXPECT_EQ(refused[0].rule, "no-random-device");
-  EXPECT_EQ(refused[0].path, "src/core/src/twin.cpp");
-
-  // Without the collision the finding is eligible as usual.
-  const LintResult clean = run_lint({scan_file(
-      "src/core/src/solo.cpp", "#include <random>\nstd::random_device a;\n")});
-  refused.clear();
-  EXPECT_EQ(baselineable_findings(clean, &refused).size(), 1u);
-  EXPECT_TRUE(refused.empty());
 }
 
 }  // namespace

@@ -29,12 +29,15 @@
 //                            a non-ascending (reversed) order
 //  P-rules (protocol safety):
 //    wire-cast-confined      reinterpret_cast outside net/message.hpp
+//    os-primitives-confined  process/shared-memory/timing OS calls outside
+//                            the net transport layer
 //    bits-funnel             manual writes to a `.bits` member outside the
 //                            push_field/Verdict::make funnels
-//    verdict-nodiscard       verdict-returning public API missing
-//                            [[nodiscard]]
-//    verdict-discarded       verdict-returning call discarded at statement
-//                            position
+//    verdict-nodiscard       a verdict-carrying type (Verdict, or a *Result
+//                            struct with a Verdict member) not declared
+//                            struct [[nodiscard]] — the attribute through
+//                            which -Werror=unused-result makes the compiler
+//                            refuse every discarded value of the type
 //    shared-write-outside-owner
 //                            an atomic field of a shared transport/serve
 //                            struct written from more than one function
@@ -47,8 +50,7 @@
 // Suppression: `// dut-lint: allow(<rule>): <justification>` on the finding
 // line (or alone on the line above it). The justification is mandatory and
 // must be at least 8 characters; bad-suppression findings cannot themselves
-// be suppressed. A checked-in baseline (tools/dut_lint/baseline.json) lets
-// the gate fail only on *new* findings while legacy ones are burned down.
+// be suppressed. In-source allow() is the only way to suppress a finding.
 //
 // Two further directive kinds feed the concurrency census rather than
 // suppressing findings:
@@ -219,10 +221,10 @@ struct LintResult {
   std::size_t files_scanned = 0;
 };
 
-/// Runs every rule over the corpus. Two passes: declarations first (result
-/// types and their producers feed the verdict rules), then the per-file
-/// token rules, with suppressions applied at the end. Findings are ordered
-/// by (path, line, rule) so output is deterministic.
+/// Runs every rule over the corpus: the corpus-wide call graph and
+/// concurrency census first, then the per-file token rules, with
+/// suppressions applied at the end. Findings are ordered by (path, line,
+/// rule) so output is deterministic.
 LintResult run_lint(const std::vector<ScannedFile>& files);
 
 /// Walks `rel_paths` (files or directories) under `root` and returns every
@@ -232,59 +234,8 @@ LintResult run_lint(const std::vector<ScannedFile>& files);
 std::vector<std::filesystem::path> collect_sources(
     const std::filesystem::path& root, const std::vector<std::string>& rel_paths);
 
-// --- Baseline -------------------------------------------------------------
-// Entries match findings by (rule, path, excerpt) — line numbers are
-// excluded so unrelated edits in the same file do not invalidate the
-// baseline. Matching is multiset-style: one entry covers one finding.
-
-struct BaselineEntry {
-  std::string rule;
-  std::string path;
-  std::string excerpt;
-};
-
-struct BaselineDiff {
-  std::vector<Finding> fresh;        ///< findings not covered by the baseline
-  std::vector<BaselineEntry> stale;  ///< entries that matched nothing
-  std::size_t matched = 0;
-};
-
-/// Parses a baseline document; throws std::runtime_error on malformed JSON
-/// or a version other than 1.
-std::vector<BaselineEntry> parse_baseline(std::string_view json_text);
-
-/// Serializes `findings` as a fresh baseline document (schema version 1).
-std::string baseline_json(const std::vector<Finding>& findings);
-
-BaselineDiff diff_baseline(const std::vector<Finding>& findings,
-                           const std::vector<BaselineEntry>& baseline);
-
-/// Machine-readable report (schema version 1; see tests/lint for the shape).
-std::string result_json(const LintResult& result, const BaselineDiff& diff);
-
-/// Human-readable report; the gate's stdout.
-std::string human_report(const LintResult& result, const BaselineDiff& diff);
-
-/// Findings eligible for `--write-baseline`: drops entries whose
-/// (rule, path, excerpt) key collides with an in-source suppressed finding.
-/// Baseline matching cannot tell the two sites apart, so such an entry
-/// would double-book the suppressed site forever once the active one is
-/// fixed. Skipped keys (one per finding) land in `refused` when non-null.
-std::vector<Finding> baselineable_findings(
-    const LintResult& result, std::vector<BaselineEntry>* refused);
-
-// --- SARIF 2.1.0 (sarif.cpp) ----------------------------------------------
-
-/// Serializes the run as a SARIF 2.1.0 log: one run, the full rule table as
-/// tool.driver.rules, fresh findings at level "error", baselined findings
-/// carrying an "external" suppression and in-source-suppressed ones an
-/// "inSource" suppression with the justification.
-std::string sarif_report(const LintResult& result, const BaselineDiff& diff);
-
-/// Structural validation against the SARIF 2.1.0 schema subset dut_lint
-/// emits (version string, run/tool/driver shape, rule references, result
-/// levels, location uris/regions). Returns human-readable violations;
-/// empty means valid. Throws std::runtime_error on malformed JSON.
-std::vector<std::string> sarif_validate(std::string_view json_text);
+/// Human-readable report, the gate's stdout: one entry per unsuppressed
+/// finding, then a summary line.
+std::string human_report(const LintResult& result);
 
 }  // namespace dut::lint

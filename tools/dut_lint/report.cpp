@@ -1,173 +1,23 @@
-// Baseline handling and output formatting. The baseline matches findings by
-// (rule, path, excerpt) so line drift from unrelated edits never churns it;
-// matching is multiset-style, one entry per finding.
+// The gate's report: every unsuppressed finding with its source line, then
+// one summary line.
 
-#include <map>
 #include <sstream>
-#include <tuple>
 
-#include "dut/obs/json.hpp"
 #include "dut_lint/lint.hpp"
 
 namespace dut::lint {
 
-namespace {
-
-using Key = std::tuple<std::string, std::string, std::string>;
-
-Key key_of(const BaselineEntry& e) { return {e.rule, e.path, e.excerpt}; }
-Key key_of(const Finding& f) { return {f.rule, f.path, f.excerpt}; }
-
-obs::Json finding_json(const Finding& f) {
-  obs::Json j = obs::Json::object();
-  j.set("rule", f.rule);
-  j.set("path", f.path);
-  j.set("line", static_cast<std::uint64_t>(f.line));
-  j.set("message", f.message);
-  j.set("excerpt", f.excerpt);
-  return j;
-}
-
-}  // namespace
-
-std::vector<BaselineEntry> parse_baseline(std::string_view json_text) {
-  const obs::Json doc = obs::Json::parse(json_text);
-  const obs::Json* version = doc.get("version");
-  if (version == nullptr || version->as_u64() != 1) {
-    throw std::runtime_error("baseline: unsupported or missing version");
-  }
-  std::vector<BaselineEntry> out;
-  const obs::Json* findings = doc.get("findings");
-  if (findings == nullptr || !findings->is_array()) {
-    throw std::runtime_error("baseline: missing findings array");
-  }
-  for (std::size_t i = 0; i < findings->size(); ++i) {
-    const obs::Json& f = findings->at(i);
-    const obs::Json* rule = f.get("rule");
-    const obs::Json* path = f.get("path");
-    const obs::Json* excerpt = f.get("excerpt");
-    if (rule == nullptr || path == nullptr || excerpt == nullptr) {
-      throw std::runtime_error("baseline: entry missing rule/path/excerpt");
-    }
-    out.push_back({rule->as_string(), path->as_string(),
-                   excerpt->as_string()});
-  }
-  return out;
-}
-
-std::string baseline_json(const std::vector<Finding>& findings) {
-  obs::Json doc = obs::Json::object();
-  doc.set("version", std::uint64_t{1});
-  obs::Json arr = obs::Json::array();
-  for (const Finding& f : findings) {
-    obs::Json e = obs::Json::object();
-    e.set("rule", f.rule);
-    e.set("path", f.path);
-    e.set("excerpt", f.excerpt);
-    arr.push(std::move(e));
-  }
-  doc.set("findings", std::move(arr));
-  return doc.dump(2) + "\n";
-}
-
-BaselineDiff diff_baseline(const std::vector<Finding>& findings,
-                           const std::vector<BaselineEntry>& baseline) {
-  BaselineDiff diff;
-  std::map<Key, std::size_t> pool;
-  for (const BaselineEntry& e : baseline) ++pool[key_of(e)];
-  for (const Finding& f : findings) {
-    const auto it = pool.find(key_of(f));
-    if (it != pool.end() && it->second > 0) {
-      --it->second;
-      ++diff.matched;
-    } else {
-      diff.fresh.push_back(f);
-    }
-  }
-  for (const BaselineEntry& e : baseline) {
-    auto it = pool.find(key_of(e));
-    if (it->second > 0) {
-      --it->second;
-      diff.stale.push_back(e);
-    }
-  }
-  return diff;
-}
-
-std::string result_json(const LintResult& result, const BaselineDiff& diff) {
-  obs::Json doc = obs::Json::object();
-  doc.set("version", std::uint64_t{1});
-  doc.set("files_scanned", static_cast<std::uint64_t>(result.files_scanned));
-
-  obs::Json findings = obs::Json::array();
-  for (const Finding& f : result.findings) findings.push(finding_json(f));
-  doc.set("findings", std::move(findings));
-
-  obs::Json suppressed = obs::Json::array();
-  for (const SuppressedFinding& s : result.suppressed) {
-    obs::Json j = finding_json(s.finding);
-    j.set("justification", s.justification);
-    suppressed.push(std::move(j));
-  }
-  doc.set("suppressed", std::move(suppressed));
-
-  obs::Json baseline = obs::Json::object();
-  baseline.set("matched", static_cast<std::uint64_t>(diff.matched));
-  obs::Json fresh = obs::Json::array();
-  for (const Finding& f : diff.fresh) fresh.push(finding_json(f));
-  baseline.set("fresh", std::move(fresh));
-  obs::Json stale = obs::Json::array();
-  for (const BaselineEntry& e : diff.stale) {
-    obs::Json j = obs::Json::object();
-    j.set("rule", e.rule);
-    j.set("path", e.path);
-    j.set("excerpt", e.excerpt);
-    stale.push(std::move(j));
-  }
-  baseline.set("stale", std::move(stale));
-  doc.set("baseline", std::move(baseline));
-  return doc.dump(2) + "\n";
-}
-
-std::vector<Finding> baselineable_findings(
-    const LintResult& result, std::vector<BaselineEntry>* refused) {
-  // A finding whose (rule, path, excerpt) key collides with an in-source
-  // suppressed finding must not enter the baseline: the diff cannot tell
-  // the two sites apart, so once the active twin is fixed the baseline
-  // entry would silently cover the suppressed site forever (double-booked).
-  std::map<Key, std::size_t> suppressed_keys;
-  for (const SuppressedFinding& s : result.suppressed) {
-    ++suppressed_keys[key_of(s.finding)];
-  }
-  std::vector<Finding> out;
-  for (const Finding& f : result.findings) {
-    if (suppressed_keys.count(key_of(f)) > 0) {
-      if (refused != nullptr) {
-        refused->push_back({f.rule, f.path, f.excerpt});
-      }
-      continue;
-    }
-    out.push_back(f);
-  }
-  return out;
-}
-
-std::string human_report(const LintResult& result, const BaselineDiff& diff) {
+std::string human_report(const LintResult& result) {
   std::ostringstream out;
-  for (const Finding& f : diff.fresh) {
+  for (const Finding& f : result.findings) {
     out << f.path << ":" << f.line << ": [" << f.rule << "] " << f.message
         << "\n";
     if (!f.excerpt.empty()) out << "    " << f.excerpt << "\n";
   }
-  for (const BaselineEntry& e : diff.stale) {
-    out << "warning: stale baseline entry [" << e.rule << "] " << e.path
-        << " '" << e.excerpt << "' — regenerate with --write-baseline\n";
-  }
-  out << "dut_lint: " << diff.fresh.size() << " new finding"
-      << (diff.fresh.size() == 1 ? "" : "s") << " (" << diff.matched
-      << " baselined, " << result.suppressed.size() << " suppressed, "
-      << diff.stale.size() << " stale) across " << result.files_scanned
-      << " files\n";
+  out << "dut_lint: " << result.findings.size() << " finding"
+      << (result.findings.size() == 1 ? "" : "s") << " ("
+      << result.suppressed.size() << " suppressed) across "
+      << result.files_scanned << " files\n";
   return out.str();
 }
 

@@ -1,8 +1,7 @@
-// Rule implementations. Two corpus passes feed the verdict rules: pass one
-// collects "result types" (core::Verdict plus every *Result struct carrying
-// a Verdict member) and the producer functions returning them; pass two runs
-// the per-file token rules. Everything works on scrubbed tokens, so string
-// literals and comments can name any identifier freely.
+// Rule implementations: the per-file token rules plus the run_lint driver,
+// which also runs the corpus-wide passes (taint.cpp, concurrency.cpp).
+// Everything works on scrubbed tokens, so string literals and comments can
+// name any identifier freely.
 
 #include <algorithm>
 #include <map>
@@ -97,17 +96,13 @@ constexpr RuleInfo kRules[] = {
      "Bit-budget accounting: the CONGEST width claims hold because "
      "push_field/Verdict::make are the only writers of .bits"},
     {"verdict-nodiscard",
-     "public APIs returning a verdict/result type must be [[nodiscard]]; a "
-     "dropped verdict is a silently ignored protocol outcome",
+     "Verdict and every *Result struct with a Verdict member must be "
+     "declared struct [[nodiscard]], so that -Werror=unused-result makes "
+     "the compiler refuse every discarded value of the type",
      "DESIGN.md §12",
      "No silent verdict loss: every protocol outcome is observed or "
-     "deliberately (and visibly) discarded"},
-    {"verdict-discarded",
-     "verdict-returning call discarded at statement position",
-     "DESIGN.md §12",
-     "No silent verdict loss: a discarded verdict is an ignored protocol "
-     "outcome — the reject-biased fault contract only holds if rejects "
-     "are seen"},
+     "visibly cast to (void) — the reject-biased fault contract only holds "
+     "if rejects are seen"},
     {"shared-write-outside-owner",
      "an atomic field of a shared transport/serve struct written from more "
      "than one function without a handoff annotation",
@@ -207,116 +202,6 @@ std::vector<bool> compute_in_function(const std::vector<Token>& tokens) {
     }
   }
   return in_function;
-}
-
-/// Declaration corpus shared by the verdict rules.
-struct Corpus {
-  std::set<std::string> result_types;
-  std::set<std::string> nodiscard_types;
-  /// producer name -> protected (function or its return type [[nodiscard]])
-  std::map<std::string, bool> producers;
-  /// (file, token index) of unprotected producer declarations in src/ headers
-  std::vector<std::pair<const ScannedFile*, std::size_t>> unprotected_decls;
-};
-
-bool is_cpp_keyword_like(const std::string& s) {
-  static const std::set<std::string> kWords = {
-      "if", "for", "while", "switch", "return", "const", "constexpr",
-      "static", "inline", "virtual", "friend", "typename", "template",
-      "operator", "new", "delete", "sizeof", "case", "throw", "co_return"};
-  return kWords.count(s) > 0;
-}
-
-/// Looks back from token `i` (the return-type token) for a [[nodiscard]]
-/// attribute on the same declaration.
-bool has_nodiscard_before(const std::vector<Token>& tokens, std::size_t i) {
-  std::size_t steps = 0;
-  while (i > 0 && steps < 10) {
-    --i;
-    ++steps;
-    const std::string& t = tokens[i].text;
-    if (t == ";" || t == "{" || t == "}" || t == ")") break;
-    if (t == "nodiscard") return true;
-  }
-  return false;
-}
-
-void collect_types(const ScannedFile& file, Corpus& corpus) {
-  const std::vector<Token>& toks = file.tokens;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!toks[i].is_ident ||
-        (toks[i].text != "struct" && toks[i].text != "class")) {
-      continue;
-    }
-    // Skip attributes between the keyword and the name.
-    std::size_t j = i + 1;
-    bool nodiscard = false;
-    while (j < toks.size() && toks[j].text == "[") {
-      while (j < toks.size() && toks[j].text != "]") {
-        if (toks[j].text == "nodiscard") nodiscard = true;
-        ++j;
-      }
-      while (j < toks.size() && toks[j].text == "]") ++j;
-    }
-    if (j >= toks.size() || !toks[j].is_ident) continue;
-    const std::string name = toks[j].text;
-
-    const bool verdict_named = name == "Verdict";
-    if (!verdict_named && !ends_with(name, "Result")) continue;
-
-    // Find the body and (for *Result types) require a Verdict member.
-    std::size_t k = j + 1;
-    while (k < toks.size() && toks[k].text != "{" && toks[k].text != ";") ++k;
-    if (k >= toks.size() || toks[k].text == ";") {
-      if (verdict_named) {
-        corpus.result_types.insert(name);
-        if (nodiscard) corpus.nodiscard_types.insert(name);
-      }
-      continue;
-    }
-    int depth = 0;
-    bool has_verdict_member = false;
-    for (std::size_t b = k; b < toks.size(); ++b) {
-      if (toks[b].text == "{") ++depth;
-      if (toks[b].text == "}" && --depth == 0) break;
-      if (toks[b].is_ident && toks[b].text == "Verdict") {
-        has_verdict_member = true;
-      }
-    }
-    if (verdict_named || has_verdict_member) {
-      corpus.result_types.insert(name);
-      if (nodiscard) corpus.nodiscard_types.insert(name);
-    }
-  }
-}
-
-void collect_producers(const ScannedFile& file, Corpus& corpus) {
-  const std::vector<Token>& toks = file.tokens;
-  const std::vector<bool> in_function = compute_in_function(toks);
-  const bool public_header = file.cls != FileClass::kTest &&
-                             ends_with(file.path, ".hpp") &&
-                             file.path.rfind("src/", 0) == 0;
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (!toks[i].is_ident || corpus.result_types.count(toks[i].text) == 0) {
-      continue;
-    }
-    if (in_function[i]) continue;
-    const std::string& name = toks[i + 1].text;
-    if (!toks[i + 1].is_ident || toks[i + 2].text != "(") continue;
-    if (is_cpp_keyword_like(name)) continue;
-    // `T name(` directly preceded by member access is a call, not a decl.
-    if (i > 0 && (toks[i - 1].text == "." || toks[i - 1].text == "->" ||
-                  toks[i - 1].text == "return" || toks[i - 1].text == "=")) {
-      continue;
-    }
-    const bool protected_decl = has_nodiscard_before(toks, i) ||
-                                corpus.nodiscard_types.count(toks[i].text) > 0;
-    auto [it, inserted] = corpus.producers.emplace(name, protected_decl);
-    if (!inserted) it->second = it->second || protected_decl;
-    if (!protected_decl && public_header) {
-      corpus.unprotected_decls.emplace_back(&file, i);
-    }
-  }
 }
 
 // --- per-file token rules --------------------------------------------------
@@ -532,31 +417,51 @@ void rule_bits_funnel(const ScannedFile& file, Emit out) {
   }
 }
 
-void rule_verdict_discarded(const ScannedFile& file, const Corpus& corpus,
-                            Emit out) {
+/// The verdict contract belongs to the compiler: a type declared
+/// `struct [[nodiscard]]` makes every discarded value of it a hard error
+/// under the build's -Werror=unused-result, at every call site — macro
+/// arguments included. This rule only keeps the attribute in place on the
+/// verdict-carrying types: Verdict, and each *Result struct (definition,
+/// in any scanned file) with a Verdict member.
+void rule_verdict_nodiscard(const ScannedFile& file, Emit out) {
   const std::vector<Token>& toks = file.tokens;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (!toks[i].is_ident || corpus.producers.count(toks[i].text) == 0) {
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (!toks[i].is_ident ||
+        (toks[i].text != "struct" && toks[i].text != "class")) {
       continue;
     }
-    if (!is_call(toks, i)) continue;
-    if (i > 0) {
-      const std::string& prev = toks[i - 1].text;
-      if (prev != ";" && prev != "{" && prev != "}" && prev != ":") continue;
-    }
-    // Match the call's parentheses; a discarded result is immediately
-    // terminated by ';'.
-    int depth = 0;
+    // Read the attributes between the keyword and the name.
     std::size_t j = i + 1;
-    for (; j < toks.size(); ++j) {
-      if (toks[j].text == "(") ++depth;
-      if (toks[j].text == ")" && --depth == 0) break;
+    bool nodiscard = false;
+    while (j < toks.size() && toks[j].text == "[") {
+      while (j < toks.size() && toks[j].text != "]") {
+        if (toks[j].text == "nodiscard") nodiscard = true;
+        ++j;
+      }
+      while (j < toks.size() && toks[j].text == "]") ++j;
     }
-    if (j + 1 < toks.size() && toks[j + 1].text == ";") {
-      emit(out, "verdict-discarded", file, toks[i].line,
-           "result of '" + toks[i].text +
-               "' is discarded; a dropped verdict is an ignored protocol "
-               "outcome (cast to (void) only with a lint suppression)");
+    if (j >= toks.size() || !toks[j].is_ident) continue;
+    const std::string& name = toks[j].text;
+    const bool verdict_named = name == "Verdict";
+    if (!verdict_named && !ends_with(name, "Result")) continue;
+
+    // Only a definition is checked: find its body.
+    std::size_t k = j + 1;
+    while (k < toks.size() && toks[k].text != "{" && toks[k].text != ";") ++k;
+    if (k >= toks.size() || toks[k].text == ";") continue;
+    bool carries_verdict = verdict_named;
+    int depth = 0;
+    for (std::size_t b = k; b < toks.size() && !carries_verdict; ++b) {
+      if (toks[b].text == "{") ++depth;
+      if (toks[b].text == "}" && --depth == 0) break;
+      carries_verdict = toks[b].is_ident && toks[b].text == "Verdict";
+    }
+    if (carries_verdict && !nodiscard) {
+      emit(out, "verdict-nodiscard", file, toks[j].line,
+           "'" + name +
+               "' carries a verdict but is not declared struct "
+               "[[nodiscard]]; only the type-level attribute makes the "
+               "compiler refuse a discarded value at every call site");
     }
   }
 }
@@ -598,11 +503,6 @@ LintResult run_lint(const std::vector<ScannedFile>& files) {
   LintResult result;
   result.files_scanned = files.size();
 
-  Corpus corpus;
-  corpus.result_types.insert("Verdict");
-  for (const ScannedFile& file : files) collect_types(file, corpus);
-  for (const ScannedFile& file : files) collect_producers(file, corpus);
-
   // All semantic passes share one scratch copy of the corpus so suppression
   // and annotation bookkeeping stays per-run: the call graph is built once,
   // the census runs corpus-wide (marking used annotations), then the
@@ -624,7 +524,7 @@ LintResult run_lint(const std::vector<ScannedFile>& files) {
     rule_wire_cast_confined(file, candidates);
     rule_os_primitives_confined(file, candidates);
     rule_bits_funnel(file, candidates);
-    rule_verdict_discarded(file, corpus, candidates);
+    rule_verdict_nodiscard(file, candidates);
     run_taint_rules(file, graph, graph.files[fi], candidates);
     if (const auto it = census.find(file.path); it != census.end()) {
       candidates.insert(candidates.end(), it->second.begin(),
@@ -641,15 +541,6 @@ LintResult run_lint(const std::vector<ScannedFile>& files) {
                                     : std::string("non-relaxed memory "
                                                   "ordering on its line")),
            file.excerpt(a.comment_line)});
-    }
-    for (const auto& [decl_file, tok] : corpus.unprotected_decls) {
-      if (decl_file->path != file.path) continue;
-      const Token& t = decl_file->tokens[tok];
-      candidates.push_back(
-          {"verdict-nodiscard", file.path, t.line,
-           "'" + decl_file->tokens[tok + 1].text + "' returns " + t.text +
-               " but is not [[nodiscard]] (and the type is not)",
-           file.excerpt(t.line)});
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const Finding& a, const Finding& b) {

@@ -165,8 +165,7 @@ void check_escapes(const ScannedFile& file, const CallGraph& graph,
   }
 }
 
-void check_merge_order(const ScannedFile& file, const FileGraph& fg,
-                       std::vector<Finding>& out) {
+void check_merge_order(const ScannedFile& file, std::vector<Finding>& out) {
   const std::vector<Token>& toks = file.tokens;
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
     if (!toks[i].is_ident || toks[i].text != "for") continue;
@@ -216,7 +215,7 @@ void run_taint_rules(const ScannedFile& file, const CallGraph& graph,
   if (file.cls != FileClass::kLibrary && file.cls != FileClass::kObs) return;
   check_derivations(file, fg, out);
   check_escapes(file, graph, fg, out);
-  check_merge_order(file, fg, out);
+  check_merge_order(file, out);
 }
 
 }  // namespace dut::lint

@@ -7,17 +7,16 @@
 #
 # Usage: run_smoke.sh [--replay <dut_replay-binary>] \
 #            <dut_trace-binary> <workdir> <binary> [args...]
-#        run_smoke.sh --lint <dut_lint-binary> <repo-root>
-#        run_smoke.sh --sarif <dut_lint-binary> <repo-root>
+#        run_smoke.sh --lint-detects <dut_lint-binary> <fixture-root> <rule>
 #        run_smoke.sh --serve <dut_cli-binary>
 #        run_smoke.sh --workers <dut_cli-binary>
 #        run_smoke.sh --usage-error <binary> [args...]
 # Registered per experiment as the smoke_* ctest entries (bench/CMakeLists);
 # --replay additionally re-executes the transcript with dut_replay and
-# byte-diffs it (the smoke_replay entries); the --lint mode is the
-# smoke_lint entry (tools/dut_lint/CMakeLists); the --serve and --workers
-# modes are the smoke_serve and smoke_cli_workers entries, and --usage-error
-# the *_rejects_* entries (tools/CMakeLists).
+# byte-diffs it (the smoke_replay entries); the --lint-detects mode is the
+# lint_gate_detects_* entries (tools/dut_lint/CMakeLists); the --serve and
+# --workers modes are the smoke_serve and smoke_cli_workers entries, and
+# --usage-error the *_rejects_* entries (tools/CMakeLists).
 set -euo pipefail
 
 # Usage-error mode: a malformed command line must be refused with exit
@@ -106,45 +105,25 @@ if [ "${1:-}" = "--workers" ]; then
   exit 0
 fi
 
-# Sarif mode: emit the SARIF 2.1.0 report for the repo gate and have the
-# binary's own structural validator check it (the lint_repo_sarif ctest
-# entry). The gate itself must also pass — a report full of fresh findings
-# validating structurally is not success.
-if [ "${1:-}" = "--sarif" ]; then
-  if [ "$#" -ne 3 ]; then
-    echo "usage: $0 --sarif <dut_lint-binary> <repo-root>" >&2
+# Lint-detects mode: the dut_lint gate, run on a fixture mini-repo with one
+# planted violation, must fail for that reason: exit status 1 (findings; 2
+# is a usage or IO error) with the planted rule's tag in its report. A crash
+# or a missing fixture root would also satisfy WILL_FAIL, so the status and
+# the tag are checked.
+if [ "${1:-}" = "--lint-detects" ]; then
+  if [ "$#" -ne 4 ]; then
+    echo "usage: $0 --lint-detects <dut_lint-binary> <fixture-root> <rule>" >&2
     exit 2
   fi
-  dut_lint=$2
-  repo_root=$3
-  sarif_log=$(mktemp)
-  trap 'rm -f "$sarif_log"' EXIT
-  "$dut_lint" --root "$repo_root" \
-    --baseline "$repo_root/tools/dut_lint/baseline.json" \
-    --sarif "$sarif_log"
-  "$dut_lint" --validate-sarif "$sarif_log"
-  echo "smoke: sarif report validates"
-  exit 0
-fi
-
-# Lint mode: run the dut_lint gate against its checked-in baseline and make
-# sure the machine-readable report is well-formed JSON (python is only used
-# as a JSON validator; the gate itself is the C++ binary).
-if [ "${1:-}" = "--lint" ]; then
-  if [ "$#" -ne 3 ]; then
-    echo "usage: $0 --lint <dut_lint-binary> <repo-root>" >&2
-    exit 2
+  status=0
+  report=$("$2" --root "$3") || status=$?
+  if [ "$status" -ne 1 ] || ! grep -qF "[$4]" <<<"$report"; then
+    echo "smoke: expected exit status 1 and a [$4] finding, got status" \
+         "$status:" >&2
+    echo "$report" >&2
+    exit 1
   fi
-  dut_lint=$2
-  repo_root=$3
-  "$dut_lint" --root "$repo_root" \
-    --baseline "$repo_root/tools/dut_lint/baseline.json"
-  json=$("$dut_lint" --root "$repo_root" \
-    --baseline "$repo_root/tools/dut_lint/baseline.json" --json)
-  if command -v python3 > /dev/null; then
-    echo "$json" | python3 -c 'import json,sys; json.load(sys.stdin)'
-  fi
-  echo "smoke: lint gate clean"
+  echo "smoke: the gate failed on the planted [$4] finding"
   exit 0
 fi
 
