@@ -32,8 +32,9 @@ inline const char* tail_bound_name(core::TailBound bound) {
   return bound == core::TailBound::kChernoff ? "chernoff" : "exact";
 }
 
-/// Replay preamble for a uniform-counts congest run: everything dut_replay
-/// needs to rebuild the plan, setup and sampler and re-run this seed.
+/// Replay preamble for a uniform-counts congest run: everything
+/// `dut_trace replay` needs to rebuild the plan, setup and sampler and
+/// re-run this seed.
 /// Heterogeneous runs get no annotations (counts have no compact spec).
 inline Annotations congest_annotations(const CongestPlan& plan,
                                        const net::Graph& graph,

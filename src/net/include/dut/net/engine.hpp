@@ -248,16 +248,6 @@ class Engine : private TransportHooks {
     return fault_plan_.has_value() ? &*fault_plan_ : nullptr;
   }
 
-  /// Declares a communication budget stricter than the engine's own hard
-  /// limits for subsequent run() calls. Breaches are soft: a "budget"
-  /// violation trace event plus the net.budget.violations counter (the
-  /// engine's own limits still throw). Without an override the spec is
-  /// derived from EngineConfig — CONGEST {bandwidth_bits, max_rounds},
-  /// LOCAL {unbounded width, max_rounds} — under which violations are
-  /// impossible by construction.
-  void set_budget_spec(const obs::BudgetSpec& spec) { budget_spec_ = spec; }
-  void clear_budget_spec() noexcept { budget_spec_.reset(); }
-
   /// Builds the replay metadata of a run_start preamble (trace.hpp).
   using RunPreamble =
       std::function<std::vector<std::pair<std::string, std::string>>()>;
@@ -346,7 +336,6 @@ class Engine : private TransportHooks {
   bool env_trace_ = true;                  // DUT_TRACE resolution enabled
 
   obs::BudgetLedger ledger_;
-  std::optional<obs::BudgetSpec> budget_spec_;  // set_budget_spec override
   RunPreamble run_preamble_;
 };
 

@@ -131,9 +131,9 @@ void Engine::deliver(std::uint32_t from, std::uint32_t to, const Message& msg) {
   if (const std::string breach = ledger_.on_send(current_round_, from,
                                                  msg.bits);
       !breach.empty()) {
-    // Breach of a driver-declared budget stricter than the engine's hard
-    // limits: soft by design — record and keep running so the full blast
-    // radius lands in one transcript.
+    // The ledger's spec derives from the limits enforced above, so a breach
+    // means the two disagree. Soft by design: record and keep running so
+    // the full blast radius lands in one transcript.
     if (obs::enabled()) obs::counter("net.budget.violations").add();
     trace_violation("budget", breach);
   }
@@ -242,16 +242,14 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
                    ? stats::SplitMix64(fault_plan_->salt()).next() ^
                          stats::SplitMix64(seed).next()
                    : 0;
-  // The run's communication budget: a set_budget_spec override, else the
-  // model limits the engine enforces anyway (CONGEST bandwidth + round cap,
-  // LOCAL round cap) so the ledger meters without ever soft-violating.
+  // The run's communication budget: the model limits the engine enforces
+  // anyway (CONGEST bandwidth + round cap, LOCAL round cap), so the ledger
+  // meters without ever soft-violating.
   ledger_.begin_run(
-      k, budget_spec_.has_value()
-             ? *budget_spec_
-             : (config_.model == Model::kCongest
-                    ? obs::BudgetSpec::congest(config_.bandwidth_bits,
-                                               config_.max_rounds)
-                    : obs::BudgetSpec::local(config_.max_rounds)));
+      k, config_.model == Model::kCongest
+             ? obs::BudgetSpec::congest(config_.bandwidth_bits,
+                                        config_.max_rounds)
+             : obs::BudgetSpec::local(config_.max_rounds));
 
   // Resolve the trace sink for this run: an attached sink wins; otherwise —
   // unless set_env_trace(false) opted this engine out — DUT_TRACE names a

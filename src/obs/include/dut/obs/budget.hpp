@@ -2,18 +2,18 @@
 
 // Communication-budget ledger (DESIGN.md §13). The paper's guarantees are
 // resource claims — the CONGEST tester uses c·log n bits per edge per round
-// (FMO18 Thm 1.2), the LOCAL tester halts within a fixed locality radius
-// (Thm 1.4), and the 0-round testers send nothing at all — so every engine
-// run carries a BudgetSpec and a BudgetLedger that meters actual usage
-// against it. The spec is written into the trace's run_start preamble
-// (offline cross-check by dut_audit), the usage lands in EngineMetrics and,
-// aggregated over a process, in the run report's `budget` section.
+// in O(D + τ) rounds (Thm 1.4), the LOCAL tester halts within a fixed
+// locality radius (§6), and the 0-round testers send nothing at all — so
+// every engine run carries a BudgetSpec and a BudgetLedger that meters
+// actual usage against it. The spec is written into the trace's run_start
+// preamble (recounted offline by `dut_trace check`), the usage lands in
+// EngineMetrics and, aggregated over a process, in the run report's
+// `budget` section.
 //
-// The engine already *enforces* its own limits hard (BandwidthExceeded,
-// RoundLimitExceeded), so with the default spec derived from EngineConfig a
-// ledger violation is impossible; violations arise only when a driver
-// declares a budget stricter than the engine's, and they are soft — a
-// "budget" trace violation event plus the net.budget.violations counter,
+// The engine derives the spec from its EngineConfig and already *enforces*
+// those limits hard (BandwidthExceeded, RoundLimitExceeded), so a ledger
+// violation means the ledger and the engine disagree. Violations are soft —
+// a "budget" trace violation event plus the net.budget.violations counter,
 // failing `dut_trace check` and report validation rather than aborting the
 // run.
 

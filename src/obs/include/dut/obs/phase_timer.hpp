@@ -6,7 +6,7 @@
 // to this header: timing flows through StopWatch (raw elapsed seconds, used
 // by the bench mains) or PhaseTimer (RAII spans — sample/encode/route/
 // decide — feeding the log2 "phase.<name>.us" histograms that reports and
-// `dut_audit summary` surface). Wall time is observational only; nothing
+// `dut_trace summary --report` surface). Wall time is observational only; nothing
 // protocol-visible may depend on it.
 
 #include <chrono>

@@ -51,12 +51,13 @@ struct TraceRunInfo {
   std::uint64_t seed = 0;
   int level = 1;  ///< trace detail level (2 adds deliver events)
   /// Declared communication budget; written into the run_start preamble
-  /// (when bounded) so dut_audit can recompute the ledger offline.
+  /// (when bounded) so `dut_trace check` can recount it offline.
   BudgetSpec budget;
   /// Replay metadata: ordered (key, value) pairs describing how to rebuild
   /// this exact run — protocol, topology spec, sampler spec, plan
   /// parameters, fault plan. Written as the run_start "replay" object;
-  /// dut_replay re-executes from it and byte-diffs the regenerated trace.
+  /// `dut_trace replay` re-executes from it and byte-diffs the regenerated
+  /// trace.
   std::vector<std::pair<std::string, std::string>> annotations;
 };
 

@@ -8,8 +8,8 @@
 // contiguous ascending id ranges and each rank executes its nodes in id
 // order, splicing the shards back together in rank order reproduces the
 // transcript an in-process run of the same seed writes — byte for byte for
-// strict runs, so dut_replay and dut_audit work on merged transcripts
-// unchanged. (Fault-mode caveat, DESIGN.md §14: expire events for cross-rank
+// strict runs, so every `dut_trace` subcommand, replay included, works on
+// merged transcripts unchanged. (Fault-mode caveat, DESIGN.md §14: expire events for cross-rank
 // sends to halted nodes land one round later than in-process.)
 //
 // Per run, the merged line order is:

@@ -2,9 +2,10 @@
 
 // Reader side of the JSONL trace format: parses a trace file back into
 // per-run summaries so the dut_trace tool and the tests can cross-check a
-// transcript against the engine's own metrics and the model's bandwidth
+// transcript against the engine's own metrics and the run's declared
 // budget. A file may hold several runs (the writer appends); each
-// run_start opens a new summary.
+// run_start opens a new summary. The summaries stream: memory grows with
+// the runs and their node counts, not with the events.
 
 #include <cstdint>
 #include <string>
@@ -23,6 +24,7 @@ struct TraceRunSummary {
   std::uint64_t max_message_bits = 0;
   std::uint64_t rounds_seen = 0;  ///< round events observed
   std::vector<std::uint64_t> per_node_sent_bits;  ///< indexed by node id
+  std::uint64_t delivers = 0;  ///< level-2 deliver events
   std::uint64_t halts = 0;
   std::uint64_t faults = 0;  ///< injected-fault events (net::FaultPlan)
 
@@ -37,6 +39,11 @@ struct TraceRunSummary {
   /// Sends whose declared bits exceed info.bandwidth_bits (CONGEST only;
   /// always 0 for a healthy run — the engine throws before delivering).
   std::uint64_t over_budget_sends = 0;
+
+  /// Sends on a directed edge that already carried a send since the last
+  /// round marker. The engine admits one send per directed edge per round,
+  /// so any count here means the transcript breaks that guard.
+  std::uint64_t duplicate_sends = 0;
 
   // Violations recorded before the run aborted.
   std::vector<std::string> violations;
@@ -65,9 +72,8 @@ std::vector<TraceRunSummary> read_trace_file(const std::string& path);
 std::vector<TraceRunSummary> read_trace_text(const std::string& text);
 
 // --- Full-event view -------------------------------------------------------
-// dut_audit rebuilds the send→deliver happens-before DAG and dut_replay
-// byte-diffs regenerated transcripts; both need every event (and the raw
-// line) rather than just the roll-up.
+// `dut_trace lineage` and `critical-path` rebuild the send→deliver
+// happens-before DAG, so they need every event rather than the roll-up.
 
 struct TraceEvent {
   enum class Kind {
@@ -92,14 +98,10 @@ struct TraceEvent {
 struct TraceRun {
   TraceRunSummary summary;
   std::vector<TraceEvent> events;  ///< in file order, run_start..run_end
-  std::vector<std::string> lines;  ///< matching raw JSONL lines
 };
 
-/// Parses a whole trace file keeping every event and raw line, one
-/// TraceRun per summary. Throws like read_trace_file.
+/// Parses a whole trace file keeping every event, one TraceRun per
+/// summary. Throws like read_trace_file.
 std::vector<TraceRun> read_trace_runs(const std::string& path);
-
-/// Same, over in-memory JSONL text (for tests).
-std::vector<TraceRun> read_trace_runs_text(const std::string& text);
 
 }  // namespace dut::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -26,7 +27,10 @@ bool known_event_kind(const std::string& kind) {
          kind == "run_end";
 }
 
-TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs) {
+/// `round_edges` holds the directed edges (from << 32 | to) that sent since
+/// the last round marker of the open run.
+TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs,
+                      std::set<std::uint64_t>& round_edges) {
   const Json* ev = line.get("ev");
   if (ev == nullptr) throw std::runtime_error("trace line missing 'ev'");
   const std::string& kind = ev->as_string();
@@ -63,6 +67,7 @@ TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs) {
     }
     run.per_node_sent_bits.assign(run.info.nodes, 0);
     runs.push_back(std::move(run));
+    round_edges.clear();
     event.kind = TraceEvent::Kind::kRunStart;
     return event;
   }
@@ -87,11 +92,13 @@ TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs) {
     TraceRunSummary partial;
     partial.truncated_tail = true;
     runs.push_back(std::move(partial));
+    round_edges.clear();
   }
   TraceRunSummary& run = runs.back();
 
   if (kind == "round") {
     ++run.rounds_seen;
+    round_edges.clear();
     event.kind = TraceEvent::Kind::kRound;
     event.round = field_u64(line, "round");
     event.active = static_cast<std::uint32_t>(field_u64(line, "active"));
@@ -114,10 +121,14 @@ TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs) {
     event.round = field_u64(line, "round");
     event.from = from;
     event.to = static_cast<std::uint32_t>(field_u64(line, "to"));
+    if (!round_edges.insert((std::uint64_t{from} << 32) | event.to).second) {
+      ++run.duplicate_sends;
+    }
     // dut-lint: allow(bits-funnel): parsed-back trace field, not a payload.
     event.bits = bits;
   } else if (kind == "deliver") {
     // Level-2 detail; carries no totals the send didn't already.
+    ++run.delivers;
     event.kind = TraceEvent::Kind::kDeliver;
     event.round = field_u64(line, "round");
     event.from = static_cast<std::uint32_t>(field_u64(line, "from"));
@@ -158,6 +169,7 @@ TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs) {
 std::vector<TraceRunSummary> read_stream(std::istream& in,
                                          std::vector<TraceRun>* full) {
   std::vector<TraceRunSummary> runs;
+  std::set<std::uint64_t> round_edges;
   std::string line;
   std::uint64_t line_no = 0;
   while (std::getline(in, line)) {
@@ -165,11 +177,11 @@ std::vector<TraceRunSummary> read_stream(std::istream& in,
     if (line.empty()) continue;
     try {
       const std::size_t before = runs.size();
-      const TraceEvent event = apply_line(Json::parse(line), runs);
+      const TraceEvent event =
+          apply_line(Json::parse(line), runs, round_edges);
       if (full != nullptr) {
         if (runs.size() > before) full->emplace_back();
         full->back().events.push_back(event);
-        full->back().lines.push_back(line);
       }
     } catch (const std::exception& error) {
       throw std::runtime_error("trace line " + std::to_string(line_no) +
@@ -204,13 +216,6 @@ std::vector<TraceRun> read_trace_runs(const std::string& path) {
   if (!in) {
     throw std::runtime_error("read_trace_runs: cannot open " + path);
   }
-  std::vector<TraceRun> full;
-  read_stream(in, &full);
-  return full;
-}
-
-std::vector<TraceRun> read_trace_runs_text(const std::string& text) {
-  std::istringstream in(text);
   std::vector<TraceRun> full;
   read_stream(in, &full);
   return full;

@@ -2,7 +2,7 @@
 // with per-edge overrides has no spec syntax, so its runs have no replay
 // preamble. Only a run that writes a transcript needs one: untraced runs
 // must complete, and a traced run must still refuse (std::logic_error)
-// rather than write a preamble that dut_replay could not replay.
+// rather than write a preamble that `dut_trace replay` could not replay.
 
 #include <gtest/gtest.h>
 

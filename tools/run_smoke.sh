@@ -2,21 +2,22 @@
 # Smoke-runs one experiment binary in a scratch workdir with protocol
 # tracing on, then validates everything it emitted:
 #   * every BENCH_*.json run report parses and passes schema v1, and
-#   * the DUT_TRACE transcript (if the binary ran any engine) is internally
-#     consistent and within the bandwidth budget (dut_trace check).
+#   * the DUT_TRACE transcript (if the binary ran any engine) recounts to
+#     the engine's totals and stays within its declared budget (dut_trace
+#     check), cross-checked against the report when there is exactly one.
 #
-# Usage: run_smoke.sh [--replay <dut_replay-binary>] \
-#            <dut_trace-binary> <workdir> <binary> [args...]
-#        run_smoke.sh --lint-detects <dut_lint-binary> <fixture-root> <rule>
+# Usage: run_smoke.sh [--replay] <dut_trace-binary> <workdir> <binary> [args...]
+#        run_smoke.sh --detects <text> <binary> [args...]
 #        run_smoke.sh --serve <dut_cli-binary>
 #        run_smoke.sh --workers <dut_cli-binary>
 #        run_smoke.sh --usage-error <binary> [args...]
 # Registered per experiment as the smoke_* ctest entries (bench/CMakeLists);
-# --replay additionally re-executes the transcript with dut_replay and
-# byte-diffs it (the smoke_replay entries); the --lint-detects mode is the
-# lint_gate_detects_* entries (tools/dut_lint/CMakeLists); the --serve and
-# --workers modes are the smoke_serve and smoke_cli_workers entries, and
-# --usage-error the *_rejects_* entries (tools/CMakeLists).
+# --replay additionally re-executes the transcript with `dut_trace replay`
+# and byte-diffs it (the smoke_replay entries); the --detects mode is the
+# lint_gate_detects_* and trace_*_detects_* entries (tools/dut_lint and
+# tools/CMakeLists); the --serve and --workers modes are the smoke_serve
+# and smoke_cli_workers entries, and --usage-error the *_rejects_* entries
+# (tools/CMakeLists).
 set -euo pipefail
 
 # Usage-error mode: a malformed command line must be refused with exit
@@ -105,37 +106,39 @@ if [ "${1:-}" = "--workers" ]; then
   exit 0
 fi
 
-# Lint-detects mode: the dut_lint gate, run on a fixture mini-repo with one
-# planted violation, must fail for that reason: exit status 1 (findings; 2
-# is a usage or IO error) with the planted rule's tag in its report. A crash
-# or a missing fixture root would also satisfy WILL_FAIL, so the status and
-# the tag are checked.
-if [ "${1:-}" = "--lint-detects" ]; then
-  if [ "$#" -ne 4 ]; then
-    echo "usage: $0 --lint-detects <dut_lint-binary> <fixture-root> <rule>" >&2
+# Detects mode: a checker run on a fixture with one planted fault must fail
+# for that reason: exit status 1 (a finding; 2 is a usage or IO error) with
+# the expected text in its output. A crash or a missing fixture would also
+# satisfy WILL_FAIL, so the status and the text are checked.
+if [ "${1:-}" = "--detects" ]; then
+  if [ "$#" -lt 3 ]; then
+    echo "usage: $0 --detects <text> <binary> [args...]" >&2
     exit 2
   fi
+  text=$2
+  binary=$3
+  shift 3
   status=0
-  report=$("$2" --root "$3") || status=$?
-  if [ "$status" -ne 1 ] || ! grep -qF "[$4]" <<<"$report"; then
-    echo "smoke: expected exit status 1 and a [$4] finding, got status" \
-         "$status:" >&2
-    echo "$report" >&2
+  output=$("$binary" "$@" 2>&1) || status=$?
+  if [ "$status" -ne 1 ] || ! grep -qF -- "$text" <<<"$output"; then
+    echo "smoke: expected exit status 1 and \"$text\" in the output, got" \
+         "status $status:" >&2
+    echo "$output" >&2
     exit 1
   fi
-  echo "smoke: the gate failed on the planted [$4] finding"
+  echo "smoke: failed on the planted fault: $text"
   exit 0
 fi
 
-dut_replay=""
+replay=0
 if [ "${1:-}" = "--replay" ]; then
-  dut_replay=$2
-  shift 2
+  replay=1
+  shift
 fi
 
 if [ "$#" -lt 3 ]; then
-  echo "usage: $0 [--replay <dut_replay-binary>] <dut_trace-binary>" \
-       "<workdir> <binary> [args...]" >&2
+  echo "usage: $0 [--replay] <dut_trace-binary> <workdir> <binary>" \
+       "[args...]" >&2
   exit 2
 fi
 
@@ -151,25 +154,30 @@ cd "$workdir"
 export DUT_TRACE="$workdir/trace.jsonl"
 "$binary" "$@"
 
-found_report=0
+reports=()
 for report in BENCH_*.json; do
   [ -e "$report" ] || continue
-  found_report=1
+  reports+=("$report")
   "$dut_trace" check-report "$report"
 done
-if [ "$found_report" -eq 0 ]; then
+if [ "${#reports[@]}" -eq 0 ]; then
   echo "smoke: $binary wrote no BENCH_*.json report" >&2
   exit 1
 fi
 
 # Binaries that never construct a network engine legitimately leave no
-# transcript; when one exists it must check out — and, in --replay mode,
-# re-execute byte-identically from its run_start replay preambles.
+# transcript; when one exists it must check out — against the binary's one
+# report when it wrote exactly one — and, in --replay mode, re-execute
+# byte-identically from its run_start replay preambles.
 if [ -s "$DUT_TRACE" ]; then
-  "$dut_trace" check "$DUT_TRACE"
-  if [ -n "$dut_replay" ]; then
+  check_args=("$DUT_TRACE")
+  if [ "${#reports[@]}" -eq 1 ]; then
+    check_args+=(--report "${reports[0]}")
+  fi
+  "$dut_trace" check "${check_args[@]}"
+  if [ "$replay" -eq 1 ]; then
     trace_file="$DUT_TRACE"
     unset DUT_TRACE
-    "$dut_replay" "$trace_file"
+    "$dut_trace" replay "$trace_file"
   fi
 fi

@@ -54,6 +54,8 @@ echo "== dut_serve_tests shard fan-out (DUT_THREADS=${DUT_THREADS}) =="
 # schedule and fault-event tracing all get exercised under contention too.
 # E16 runs the multi-process shm transport (forked single-threaded rank
 # children over the shared session) and validates the merged transcript.
+# run_smoke.sh makes the same dut_trace calls as the smoke_* entries:
+# check-report on the report, check on the transcript against it.
 tsan_trace_dir=$(mktemp -d)
 trap 'rm -rf "$tsan_trace_dir"' EXIT
 # E17 drives the sharded verdict service's epoch loop (the one engine-free
@@ -61,20 +63,8 @@ trap 'rm -rf "$tsan_trace_dir"' EXIT
 for exp in e7_token_packaging e8_congest e9_local e15_fault_tolerance \
            e16_transport e17_serve; do
   echo "== traced $exp quick run (DUT_THREADS=${DUT_THREADS}, DUT_TRACE on) =="
-  exp_dir="$tsan_trace_dir/$exp"
-  mkdir -p "$exp_dir"
-  (
-    cd "$exp_dir"
-    DUT_TRACE="$exp_dir/trace.jsonl" \
-      "$OLDPWD/build-tsan/bench/$exp" --quick > /dev/null
-    if [ -s "$exp_dir/trace.jsonl" ]; then
-      "$OLDPWD/build-tsan/tools/dut_trace" check "$exp_dir/trace.jsonl"
-    fi
-    for report in BENCH_*.json; do
-      [ -e "$report" ] || continue
-      "$OLDPWD/build-tsan/tools/dut_trace" check-report "$report"
-    done
-  )
+  bash tools/run_smoke.sh "$PWD/build-tsan/tools/dut_trace" \
+    "$tsan_trace_dir/$exp" "$PWD/build-tsan/bench/$exp" --quick > /dev/null
 done
 
 # The single-writer census (dut_lint) and TSan must agree: the schedules
