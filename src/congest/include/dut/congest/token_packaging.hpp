@@ -223,7 +223,7 @@ class TokenPackagingProgram : public net::NodeProgram {
   /// Routes a send: direct in plain mode; in resilient mode stamps seq +
   /// checksum and loads the per-neighbor retransmission slot (the first
   /// copy still leaves this round, via flush_slots).
-  void emit(net::NodeContext& ctx, std::uint32_t to, net::Message msg);
+  void emit(net::NodeContext& ctx, std::uint32_t to, const net::Message& msg);
   void flush_slots(net::NodeContext& ctx);
 
   std::size_t neighbor_index(net::NodeContext& ctx, std::uint32_t id);

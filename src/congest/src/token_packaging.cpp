@@ -75,19 +75,20 @@ std::size_t TokenPackagingProgram::neighbor_index(net::NodeContext& ctx,
 }
 
 void TokenPackagingProgram::emit(net::NodeContext& ctx, std::uint32_t to,
-                                 net::Message msg) {
+                                 const net::Message& msg) {
   if (!resil_.enabled) {
     ctx.send(to, msg);
     return;
   }
-  // Stamp the wire trailer and load the retransmission slot: the first copy
+  // Stamp the wire trailer into the retransmission slot: the first copy
   // leaves this round via flush_slots; later copies fill idle rounds until a
   // newer message to the same neighbor supersedes them.
   const std::size_t i = neighbor_index(ctx, to);
-  msg.push_field(++seq_out_[i], resil_.seq_bits);
-  const auto stamped = msg.fields();
-  msg.push_field(packaging_checksum(stamped.data(), stamped.size()), 4);
-  slot_msg_[i] = std::move(msg);
+  net::Message& slot = slot_msg_[i];
+  slot = msg;
+  slot.push_field(++seq_out_[i], resil_.seq_bits);
+  const auto stamped = slot.fields();
+  slot.push_field(packaging_checksum(stamped.data(), stamped.size()), 4);
   slot_copies_[i] = static_cast<std::uint32_t>(1 + resil_.retransmits);
 }
 

@@ -31,18 +31,29 @@
 // own InProcTransport — a flat payload slab plus a flat record array per
 // direction (detail::RoundArena), flipped at each round boundary by a
 // stable scatter that gives each receiver its CSR inbox range and touches
-// no other node. The transport lists the round's receivers, which is how
-// the engine finds the sleepers to wake. Programs read their inbox through
-// MessageView windows into the slab, so a round costs O(messages + fields
-// + receivers) with zero per-message allocation, and the buffers'
-// capacity persists both across rounds and across run() calls. That makes
-// an Engine cheaply re-runnable: run(programs, seed) fully resets round
-// state and metrics, so one engine per worker thread amortizes all
-// allocation across a Monte-Carlo sweep (see net::ProtocolDriver).
-// Attaching a ShmTransport instead shards the node range over multiple
-// rank processes that exchange rounds through shared memory; the engine
-// then executes only its rank's shard and the metrics it reports are the
-// all-rank reduction (bit-identical to the single-process run).
+// no other node. The transport lists the round's receivers, ascending
+// (a bitmap walk, no sort), which is how the engine finds the sleepers to
+// wake. Programs read their inbox through MessageView windows into the
+// slab, and the buffers' capacity persists both across rounds and across
+// run() calls. That makes an Engine cheaply re-runnable: run(programs,
+// seed) fully resets round state and metrics, so one engine per worker
+// thread amortizes all allocation across a Monte-Carlo sweep (see
+// net::ProtocolDriver). Attaching a ShmTransport instead shards the node
+// range over multiple rank processes that exchange rounds through shared
+// memory; the engine then executes only its rank's shard and the metrics
+// it reports are the all-rank reduction (bit-identical to the
+// single-process run).
+//
+// Sync points and round cost. Ranks synchronize at exactly one point per
+// round: Transport::exchange_round, called once before round 0 and once
+// at the end of every round. It ships the round's sends and returns the
+// all-rank live count (the loop condition and the round-limit check) and
+// the all-rank count of live nodes the crash schedule stops next round
+// (live minus crashes is the `round` event's `active`). flip_round then
+// builds the inboxes locally. A round therefore costs one exchange plus
+// O(woken nodes + messages + fields + receivers + span/4096) — the last
+// term the arena's receiver-bitmap summary — with no per-message
+// allocation; in-process the exchange is the identity.
 //
 // Observability: a run emits structured events (run_start, round, send,
 // deliver, halt, violation, run_end) to an obs::TraceSink attached with
@@ -266,6 +277,11 @@ class Engine : private TransportHooks {
  private:
   friend class NodeContext;
   void deliver(std::uint32_t from, std::uint32_t to, const Message& msg);
+  /// How many live nodes of the shard [shard_first, shard_last) the crash
+  /// schedule stops at the start of `round`: what the crash block will
+  /// apply, counted ahead for the round exchange.
+  std::uint64_t crashes_due(std::uint64_t round, std::uint32_t shard_first,
+                            std::uint32_t shard_last) const;
   /// Tallies the fault in the metrics registry and emits the trace event.
   void emit_fault(std::string_view kind, std::uint32_t from, std::uint32_t to);
   /// Records a violation on the active sink (flushing it so the transcript

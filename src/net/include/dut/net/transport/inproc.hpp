@@ -43,10 +43,11 @@ class InProcTransport final : public Transport {
                        std::uint64_t due_round, bool duplicate) override {
     arena_.defer(rec, fields, due_round, duplicate);
   }
-  void flip_round(std::uint64_t round) override;
-  std::uint64_t sync_active(std::uint64_t local_active) override {
-    return local_active;
+  RoundCounts exchange_round(std::uint64_t /*round*/,
+                             RoundCounts local) override {
+    return local;
   }
+  void flip_round(std::uint64_t round) override;
   InboxView inbox(std::uint32_t node) const noexcept override {
     return arena_.inbox(node);
   }

@@ -4,15 +4,19 @@
 //
 // Committed messages append to the pending side — records in arrival
 // order, fields packed into the payload slab — and every destination is
-// recorded the first time a round sends to it. flip() turns the pending
-// side into the delivered side touching only those receivers: it sorts
-// them, gives each one its CSR range of the record array, scatters the
-// records stably (each inbox keeps arrival order), and clears the previous
-// round's receivers. A round therefore costs O(messages + fields +
-// receivers log receivers), independent of the node count. Delayed
-// (fault-injected) messages wait in a deferred list — payload in its own
-// slab, so flips never invalidate the offsets — until inject_deferred()
-// moves the due ones behind the round's fresh arrivals.
+// marked, the first time a round sends to it, in a two-level bitmap over
+// the arena's node range: one bit per node, plus one summary bit per
+// 64-node word that has any bit set. flip() turns the pending side into
+// the delivered side touching only those receivers: it walks the bitmap in
+// ascending node order (summary words first, so a word with no receiver
+// is never read) and clears it as it goes, gives each receiver its CSR
+// range of the record array, scatters the records stably (each inbox keeps
+// arrival order), and retires the previous round's receivers. A round
+// therefore costs O(messages + fields + receivers + span/4096): no sort,
+// and one summary word covers 4096 nodes. Delayed (fault-injected)
+// messages wait in a deferred list — payload in its own slab, so flips
+// never invalidate the offsets — until inject_deferred() moves the due
+// ones behind the round's fresh arrivals.
 //
 // The arena covers the node range [first, first + span): the whole graph
 // in-process, one rank's shard under ShmTransport. Node ids in and out
@@ -79,7 +83,10 @@ class RoundArena {
 
   std::vector<ArenaRecord> pending_records_;
   std::vector<std::uint64_t> pending_payload_;
-  std::vector<std::uint32_t> pending_receivers_;  // first-send order
+  // This round's receivers: bit i of receiver_bits_ marks node first_ + i;
+  // bit j of receiver_words_ marks a non-zero receiver_bits_[j].
+  std::vector<std::uint64_t> receiver_bits_;
+  std::vector<std::uint64_t> receiver_words_;
   std::vector<ArenaRecord> delivered_records_;
   std::vector<std::uint64_t> delivered_payload_;
   std::vector<std::uint32_t> delivered_receivers_;  // ascending

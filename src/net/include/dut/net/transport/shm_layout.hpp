@@ -4,11 +4,12 @@
 //
 // One segment serves one rank group. It holds, in order: a control block
 // (trial lockstep state), one exchange cell per rank (the all-gather used
-// for sync_active / metrics reduction / verdict summaries), and one SPSC
-// word ring per directed rank pair (round-batch traffic). Everything is
-// plain-old-data over std::atomic<std::uint64_t>; the segment is mapped at
-// different addresses in different processes, so the layout stores no
-// pointers — only offsets computed from (num_ranks, ring_words).
+// for the post-run metrics reduction and verdict summaries only), and one
+// SPSC word ring per directed rank pair (the round batches, which also
+// carry each rank's live and crash counts: a round touches nothing else).
+// Everything is plain-old-data over std::atomic integers; the segment is
+// mapped at different addresses in different processes, so the layout
+// stores no pointers — only offsets computed from (num_ranks, ring_words).
 //
 // This header is the wire/reinterpret_cast funnel for the transport: all
 // casting between the raw mapping and these structs happens in
@@ -26,7 +27,14 @@
 //    data region (ring_words words, not necessarily a power of two) follows
 //    the header. Producers and consumers make progress independently, and
 //    ShmTransport pumps sends and receives together so oversized round
-//    batches can never deadlock a rank pair.
+//    batches can never deadlock a rank pair. No barrier keeps the ranks in
+//    step between batches, so a rank may already have queued its next
+//    round's batch behind the one a slower peer is still reading: a reader
+//    takes exactly one batch per exchange — the header words first, then
+//    exactly the length the header announces — and never reads past it.
+//  * trial_wake is a 32-bit futex word. A worker that has spun and yielded
+//    through its backoff in wait_trial blocks on it (1 ms timeout per wait);
+//    begin_trial and end_session bump it and wake every waiter.
 //  * The trial protocol (ShmSession::begin_trial / wait_trial / post_ready)
 //    resets rings, exchange cells and the abort state between trials, so an
 //    aborted run can never leave two ranks' exchange counters misaligned
@@ -37,7 +45,7 @@
 
 namespace dut::net::shm {
 
-inline constexpr std::uint64_t kMagic = 0x4455545348'4d5631ULL;  // "DUTSHMV1"
+inline constexpr std::uint64_t kMagic = 0x4455545348'4d5632ULL;  // "DUTSHMV2"
 inline constexpr std::uint32_t kMaxRanks = 16;
 /// Words per exchange publish; large enough for the metrics reduction and
 /// the congest verdict summaries with room to grow.
@@ -88,6 +96,9 @@ struct alignas(kCacheLine) ShmControl {
   char abort_cause[kAbortCauseBytes]{};
   /// Session teardown: workers drain out of wait_trial and exit.
   std::atomic<std::uint64_t> shutdown{0};
+  /// Futex word for workers blocked in wait_trial: bumped after every
+  /// trial_seq publication (begin_trial, end_session), then woken.
+  std::atomic<std::uint32_t> trial_wake{0};
 
   alignas(kCacheLine) std::atomic<std::uint64_t> ready[kMaxRanks]{};
   ExchangeCell exchange[kMaxRanks];
@@ -96,16 +107,24 @@ struct alignas(kCacheLine) ShmControl {
 };
 
 /// Round-batch wire format, all uint64 words, written into the (from → to)
-/// ring once per round flip:
+/// ring once per round exchange:
 ///
-///   header:  { round, fresh_count, delayed_count, payload_words }
+///   header:  { round, fresh_count, delayed_count, payload_words,
+///              live, crashes }
 ///   fresh:   fresh_count records of 3 words
 ///              { sender | to << 32, bits, num_fields | dup_flag << 32 }
 ///   delayed: delayed_count records of 4 words (fresh layout + due_round)
 ///   payload: payload_words words — each record's fields in record order,
 ///            fresh first; a dup-flagged record contributes one copy that
 ///            both deliveries share, exactly like the in-process arena.
-inline constexpr std::size_t kBatchHeaderWords = 4;
+///
+/// `live` and `crashes` are the sender's RoundCounts (transport.hpp): its
+/// live nodes after the round that just ended, and how many of them the
+/// crash schedule stops next round. Every peer gets the same two words, so
+/// the batches alone give each rank the all-rank sums. A reader takes
+/// exactly one batch per exchange: kBatchHeaderWords words, then exactly
+/// the record and payload words they announce (see the Ring note above).
+inline constexpr std::size_t kBatchHeaderWords = 6;
 inline constexpr std::size_t kFreshRecordWords = 3;
 inline constexpr std::size_t kDelayedRecordWords = 4;
 inline constexpr std::uint64_t kDupFlag = 1ULL << 32;

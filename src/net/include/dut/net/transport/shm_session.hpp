@@ -12,8 +12,11 @@
 // open_named) and loop on wait_trial / post_ready. All blocking waits are
 // iteration-counted — no wall-clock reads — and watch both the abort code
 // and shutdown flag, so a crashed or aborting peer turns into a
-// TransportAborted throw instead of a deadlock.
+// TransportAborted throw instead of a deadlock. A worker idle in
+// wait_trial ends up blocked on a futex that begin_trial and end_session
+// wake, so a trial published while it sleeps starts at once.
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -111,15 +114,27 @@ class ShmSession {
   /// as soon as `session.check_abort()` would. Loop-local, cheap to reset.
   class Backoff {
    public:
-    void pause(const ShmSession& session) { step(session, true); }
+    void pause(const ShmSession& session) {
+      step(session, true, nullptr, 0);
+    }
     /// Same schedule without watching the abort code — for the inter-trial
     /// waits, where a stale abort from the finished trial is not an error.
     void pause_ignoring_abort(const ShmSession& session) {
-      step(session, false);
+      step(session, false, nullptr, 0);
+    }
+    /// pause_ignoring_abort whose sleep stage blocks on the futex `word`
+    /// (up to 1 ms per step, so the deadline is unchanged) while it still
+    /// reads `seen`; a writer that bumps the word and wakes it ends the
+    /// wait at once.
+    void wait_ignoring_abort(const ShmSession& session,
+                             const std::atomic<std::uint32_t>& word,
+                             std::uint32_t seen) {
+      step(session, false, &word, seen);
     }
 
    private:
-    void step(const ShmSession& session, bool watch_abort);
+    void step(const ShmSession& session, bool watch_abort,
+              const std::atomic<std::uint32_t>* word, std::uint32_t seen);
     std::uint64_t spins_ = 0;
   };
 

@@ -2,11 +2,13 @@
 
 // ShmTransport: multi-process delivery backend. Each rank process owns a
 // contiguous node shard and runs its own Engine over the shared graph; at
-// every round flip the ranks exchange per-peer message batches through the
-// session's shared-memory rings and splice them into a shard-sized
-// detail::RoundArena — the same arena InProcTransport delivers through, so
-// the flip touches only this shard's receivers and deferred messages are
-// injected by the same code.
+// every round boundary the ranks exchange per-peer message batches through
+// the session's shared-memory rings (exchange_round — one batch per peer
+// per round, whose header also carries the rank's live and crash counts,
+// so the round needs no other synchronization), and flip_round splices
+// them into a shard-sized detail::RoundArena — the same arena
+// InProcTransport delivers through, so the flip touches only this shard's
+// receivers and deferred messages are injected by the same code.
 //
 // Determinism (DESIGN.md §14 carries the full argument): shards are
 // contiguous ascending id ranges and every rank executes its nodes in id
@@ -54,8 +56,9 @@ class ShmTransport final : public Transport {
   void enqueue_delayed(const detail::ArenaRecord& rec,
                        std::span<const std::uint64_t> fields,
                        std::uint64_t due_round, bool duplicate) override;
+  RoundCounts exchange_round(std::uint64_t round,
+                             RoundCounts local) override;
   void flip_round(std::uint64_t round) override;
-  std::uint64_t sync_active(std::uint64_t local_active) override;
   InboxView inbox(std::uint32_t node) const noexcept override {
     return arena_.inbox(node);
   }
@@ -84,9 +87,11 @@ class ShmTransport final : public Transport {
   std::uint32_t owner_of(std::uint32_t node) const noexcept;
   /// Serializes this round's staged records for peer `peer` into out.
   void serialize_batch(std::uint32_t peer, std::uint64_t round,
+                       RoundCounts counts,
                        std::vector<std::uint64_t>& out) const;
-  /// Pushes all outgoing batches and drains all incoming ones, interleaved
-  /// so oversized batches can never deadlock a rank pair.
+  /// Pushes all outgoing batches and drains exactly one incoming batch per
+  /// peer — its header first, then the length the header announces —
+  /// interleaved so oversized batches can never deadlock a rank pair.
   void pump_rings(std::uint64_t round);
   /// Splices one rank's records (own staging or a decoded batch) into the
   /// arena — fresh ones pending, delayed ones deferred — in that rank's
@@ -126,12 +131,14 @@ class ShmTransport final : public Transport {
   // delayed messages owned by this shard, in global deferred order.
   detail::RoundArena arena_;
 
-  // Ring pump scratch.
+  // Ring pump state. in_batches_[peer] holds the batch the last exchange
+  // received until flip_round merges it; it is sized to the words still
+  // expected (the header, then the whole batch) and in_read_ counts those
+  // already popped.
   std::vector<std::vector<std::uint64_t>> out_batches_;   // per peer
   std::vector<std::size_t> out_sent_;                     // words pushed
   std::vector<std::vector<std::uint64_t>> in_batches_;    // per peer
-  std::vector<std::size_t> in_expected_;                  // words, 0=unknown
-  std::vector<std::uint64_t> sync_scratch_;
+  std::vector<std::size_t> in_read_;                      // words popped
 };
 
 }  // namespace dut::net

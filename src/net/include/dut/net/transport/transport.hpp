@@ -96,6 +96,14 @@ class TransportAborted : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The figures every round exchange sums over the ranks: the live
+/// (neither halted nor crashed) nodes after the round that just ended, and
+/// how many of them the crash schedule stops at the start of the next one.
+struct RoundCounts {
+  std::uint64_t live = 0;
+  std::uint64_t crashes = 0;
+};
+
 /// Abort codes published through Transport::abort_run so peers can re-throw
 /// what the faulting rank threw.
 enum class TransportAbortCode : std::uint64_t {
@@ -136,14 +144,21 @@ class Transport {
                                std::span<const std::uint64_t> fields,
                                std::uint64_t due_round, bool duplicate) = 0;
 
-  /// Round boundary: exchanges batches with peer ranks (multi-process) and
-  /// scatters everything due for `round` into CSR inbox order.
-  virtual void flip_round(std::uint64_t round) = 0;
+  /// Round boundary, part one: the only point a round synchronizes ranks.
+  /// Ships the sends staged for delivery at `round` to the ranks that own
+  /// their receivers and returns `local` summed over all ranks. The engine
+  /// calls it once before round 0 and once at the end of every round (with
+  /// the next round's number), in the same sequence on every rank; each
+  /// call receives exactly one batch from every peer and merges nothing
+  /// yet. In-process it returns `local`.
+  virtual RoundCounts exchange_round(std::uint64_t round,
+                                     RoundCounts local) = 0;
 
-  /// Sums `local_active` over all ranks. Called in the same sequence on
-  /// every rank (the engine's loop structure is identical across ranks), so
-  /// the transport may use an internal step counter to pair the exchanges.
-  virtual std::uint64_t sync_active(std::uint64_t local_active) = 0;
+  /// Round boundary, part two, local to this rank: scatters everything due
+  /// for `round` into CSR inbox order — the batches the preceding
+  /// exchange_round(round) received, this rank's own staged sends and the
+  /// delayed messages that came due.
+  virtual void flip_round(std::uint64_t round) = 0;
 
   /// Node `node`'s inbox for the current round (shard-local nodes only).
   virtual InboxView inbox(std::uint32_t node) const noexcept = 0;
@@ -158,9 +173,9 @@ class Transport {
   /// Fault-mode post-loop settlement: expire everything still deferred or
   /// in flight via hooks.count_expired. `round` is the round the loop
   /// exited on (one past the last executed round); a multi-process backend
-  /// uses it to pump the final round's staged sends through the
-  /// delivery-boundary expiry that the in-process engine already applied
-  /// at their send sites.
+  /// flips it locally, so the final round's sends — which the loop's last
+  /// exchange_round already carried — pass the delivery-boundary expiry
+  /// that the in-process engine applied at their send sites.
   virtual void settle_run(std::uint64_t round) = 0;
 
   /// Folds every rank's metrics into one global EngineMetrics (identical

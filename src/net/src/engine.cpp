@@ -128,14 +128,13 @@ void Engine::deliver(std::uint32_t from, std::uint32_t to, const Message& msg) {
   ++metrics_.messages;
   metrics_.total_bits += msg.bits;
   metrics_.max_message_bits = std::max(metrics_.max_message_bits, msg.bits);
-  if (const std::string breach = ledger_.on_send(current_round_, from,
-                                                 msg.bits);
-      !breach.empty()) {
+  if (ledger_.on_send(from, msg.bits)) {
     // The ledger's spec derives from the limits enforced above, so a breach
     // means the two disagree. Soft by design: record and keep running so
     // the full blast radius lands in one transcript.
     if (obs::enabled()) obs::counter("net.budget.violations").add();
-    trace_violation("budget", breach);
+    trace_violation("budget",
+                    ledger_.send_breach(current_round_, from, msg.bits));
   }
 
   if (halted_[to]) {
@@ -198,6 +197,23 @@ void Engine::deliver(std::uint32_t from, std::uint32_t to, const Message& msg) {
     ++metrics_.faults.duplicated;
     emit_fault("dup", from, to);
   }
+}
+
+std::uint64_t Engine::crashes_due(std::uint64_t round,
+                                  std::uint32_t shard_first,
+                                  std::uint32_t shard_last) const {
+  if (!fault_plan_.has_value()) return 0;
+  // The crash block applies every entry at or past the cursor that is due
+  // by `round`; the schedule names each node once, so counting the live
+  // shard nodes among them needs no bookkeeping.
+  const auto& schedule = fault_plan_->crash_schedule();
+  std::uint64_t due = 0;
+  for (std::size_t i = crash_cursor_;
+       i < schedule.size() && schedule[i].first <= round; ++i) {
+    const std::uint32_t v = schedule[i].second;
+    if (v >= shard_first && v < shard_last && !halted_[v]) ++due;
+  }
+  return due;
 }
 
 void Engine::emit_fault(std::string_view kind, std::uint32_t from,
@@ -306,24 +322,25 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
     rngs_.push_back(stats::derive_stream(seed, v));
   }
 
-  // `local_active` counts this shard's live nodes; `active` is the all-rank
-  // sum (identical: in-process the transport's sync is the identity). The
-  // sync points are fixed — once before the loop, once after the crash
-  // block, once after execution — so every rank runs the same sequence and
-  // a step counter suffices to pair the exchanges.
-  std::uint64_t local_active = shard_last - shard_first;
-  std::uint64_t active = transport_->sync_active(local_active);
+  // `local_live` counts this shard's live nodes. A round synchronizes the
+  // ranks at one point only: exchange_round, once before round 0 and once
+  // at the end of every round, ships the round's sends and sums
+  // (local_live, crashes due next round) over all ranks — the identity
+  // in-process. Every rank runs the same sequence of exchanges.
+  std::uint64_t local_live = shard_last - shard_first;
   // Everyone is stepped in round 0; sleepers drop out of awake_ afterwards.
   awake_.resize(shard_last - shard_first);
   std::iota(awake_.begin(), awake_.end(), shard_first);
   std::uint64_t node_steps = 0;
   std::uint64_t live_node_rounds = 0;
   try {
-    while (active > 0) {
+    RoundCounts counts = transport_->exchange_round(
+        0, {local_live, crashes_due(0, shard_first, shard_last)});
+    while (counts.live > 0) {
       if (current_round_ >= config_.max_rounds) {
         const std::string detail = "protocol did not terminate within " +
                                    std::to_string(config_.max_rounds) +
-                                   " rounds (" + std::to_string(active) +
+                                   " rounds (" + std::to_string(counts.live) +
                                    " nodes still active)";
         trace_violation("round_limit", detail);
         throw RoundLimitExceeded(detail);
@@ -332,7 +349,8 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
       transport_->flip_round(current_round_);
 
       // Crash-stop: node v executes rounds < r, so it is removed here, after
-      // its round-r inbox materialized but before it could read it.
+      // its round-r inbox materialized but before it could read it. The
+      // exchange already counted these crashes (crashes_due).
       if (fault_plan_.has_value()) {
         const auto& schedule = fault_plan_->crash_schedule();
         while (crash_cursor_ < schedule.size() &&
@@ -344,7 +362,7 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
           }
           halted_[v] = true;
           halt_key_[v] = halt_key_crash(current_round_);
-          --local_active;
+          --local_live;
           ++metrics_.faults.crashes;
           emit_fault("crash", v, v);
           if (active_sink_ != nullptr) {
@@ -352,7 +370,7 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
           }
         }
       }
-      active = transport_->sync_active(local_active);
+      const std::uint64_t active = counts.live - counts.crashes;
 
       const std::span<const std::uint32_t> receivers =
           transport_->receivers();
@@ -376,7 +394,7 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
       std::set_union(awake_.begin(), awake_.end(), receivers.begin(),
                      receivers.end(), std::back_inserter(stepping_));
       awake_.clear();
-      live_node_rounds += local_active;
+      live_node_rounds += local_live;
       for (const std::uint32_t v : stepping_) {
         if (halted_[v]) {
           // Strict mode refuses sends to a halted node at the send site
@@ -406,7 +424,7 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
         if (ctx.halted_) {
           halted_[v] = true;
           halt_key_[v] = halt_key_voluntary(current_round_, v);
-          --local_active;
+          --local_live;
           if (active_sink_ != nullptr) {
             active_sink_->on_halt(current_round_, v);
           }
@@ -424,7 +442,9 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
         round_bits.record(metrics_.total_bits - bits_before);
       }
       ++current_round_;
-      active = transport_->sync_active(local_active);
+      counts = transport_->exchange_round(
+          current_round_,
+          {local_live, crashes_due(current_round_, shard_first, shard_last)});
     }
     metrics_.rounds = current_round_;
     if (const std::string breach = ledger_.finish_run(metrics_.rounds);

@@ -1,6 +1,6 @@
 #include "dut/net/transport/round_arena.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace dut::net::detail {
@@ -10,7 +10,8 @@ void RoundArena::reset(std::uint32_t first, std::uint32_t span) {
   slots_.assign(span, Slot{});
   pending_records_.clear();
   pending_payload_.clear();
-  pending_receivers_.clear();
+  receiver_bits_.assign((std::size_t{span} + 63) / 64, 0);
+  receiver_words_.assign((receiver_bits_.size() + 63) / 64, 0);
   delivered_records_.clear();
   delivered_payload_.clear();
   delivered_receivers_.clear();
@@ -23,8 +24,10 @@ void RoundArena::reset(std::uint32_t first, std::uint32_t span) {
 
 void RoundArena::append(const ArenaRecord& rec) {
   pending_records_.push_back(rec);
-  if (slots_[rec.to - first_].pending++ == 0) {
-    pending_receivers_.push_back(rec.to);
+  const std::uint32_t i = rec.to - first_;
+  if (slots_[i].pending++ == 0) {
+    receiver_bits_[i / 64] |= std::uint64_t{1} << (i % 64);
+    receiver_words_[i / 4096] |= std::uint64_t{1} << (i / 64 % 64);
   }
 }
 
@@ -87,13 +90,25 @@ void RoundArena::flip() {
   for (const std::uint32_t v : delivered_receivers_) {
     slots_[v - first_].count = 0;
   }
-  std::sort(pending_receivers_.begin(), pending_receivers_.end());
+  delivered_receivers_.clear();
+  // Ascending bitmap walk, clearing as it goes: each receiver's inbox range
+  // starts where the previous (lower-id) receiver's ends.
   std::size_t offset = 0;
-  for (const std::uint32_t v : pending_receivers_) {
-    Slot& slot = slots_[v - first_];
-    slot.begin = offset;
-    offset += slot.pending;
-    slot.pending = 0;
+  for (std::size_t w = 0; w < receiver_words_.size(); ++w) {
+    for (std::uint64_t words = std::exchange(receiver_words_[w], 0);
+         words != 0; words &= words - 1) {
+      const std::size_t b = w * 64 + std::countr_zero(words);
+      for (std::uint64_t bits = std::exchange(receiver_bits_[b], 0);
+           bits != 0; bits &= bits - 1) {
+        const auto i = static_cast<std::uint32_t>(b * 64 +
+                                                  std::countr_zero(bits));
+        Slot& slot = slots_[i];
+        slot.begin = offset;
+        offset += slot.pending;
+        slot.pending = 0;
+        delivered_receivers_.push_back(first_ + i);
+      }
+    }
   }
   // Stable scatter in arrival order; each count doubles as its inbox's
   // cursor and ends at the inbox size.
@@ -105,10 +120,8 @@ void RoundArena::flip() {
   // The pending slab becomes the delivered slab; payload_begin offsets in
   // the records stay valid across the swap.
   std::swap(pending_payload_, delivered_payload_);
-  std::swap(pending_receivers_, delivered_receivers_);
   pending_records_.clear();
   pending_payload_.clear();
-  pending_receivers_.clear();
 }
 
 }  // namespace dut::net::detail

@@ -1,13 +1,16 @@
 #include "dut/net/transport/shm_session.hpp"
 
 #include <fcntl.h>
+#include <linux/futex.h>
 #include <sched.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -25,6 +28,23 @@ namespace {
 constexpr std::uint64_t kBusySpins = 1 << 10;
 constexpr std::uint64_t kYieldSpins = 1 << 14;
 constexpr std::uint64_t kMaxSleeps = 120'000;
+
+// The futex word is a plain 32-bit integer to the kernel. It lives in a
+// MAP_SHARED segment that other processes map too, so neither call sets
+// FUTEX_PRIVATE_FLAG.
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+              std::atomic<std::uint32_t>::is_always_lock_free);
+
+/// Blocks while `word` reads `seen`, for at most `timeout`. Returns early on
+/// a wake, a signal, or at once if the word already moved on.
+void futex_wait(const std::atomic<std::uint32_t>& word, std::uint32_t seen,
+                const timespec& timeout) {
+  syscall(SYS_futex, &word, FUTEX_WAIT, seen, &timeout, nullptr, 0);
+}
+
+void futex_wake_all(std::atomic<std::uint32_t>& word) {
+  syscall(SYS_futex, &word, FUTEX_WAKE, INT_MAX, nullptr, nullptr, 0);
+}
 
 std::size_t segment_bytes(std::uint32_t num_ranks, std::uint64_t ring_words) {
   const std::size_t ring_bytes =
@@ -172,7 +192,9 @@ std::uint32_t ShmSession::num_ranks() const noexcept {
   return control()->num_ranks;
 }
 
-void ShmSession::Backoff::step(const ShmSession& session, bool watch_abort) {
+void ShmSession::Backoff::step(const ShmSession& session, bool watch_abort,
+                               const std::atomic<std::uint32_t>* word,
+                               std::uint32_t seen) {
   if (watch_abort) session.check_abort();
   ++spins_;
   if (spins_ <= kBusySpins) {
@@ -186,8 +208,12 @@ void ShmSession::Backoff::step(const ShmSession& session, bool watch_abort) {
     throw TransportAborted(
         "ShmSession: peer made no progress within the spin deadline");
   }
-  timespec ts{0, 1'000'000};  // 1ms
-  nanosleep(&ts, nullptr);
+  const timespec ts{0, 1'000'000};  // 1ms
+  if (word != nullptr) {
+    futex_wait(*word, seen, ts);
+  } else {
+    nanosleep(&ts, nullptr);
+  }
 }
 
 void ShmSession::check_abort() const {
@@ -291,6 +317,11 @@ std::uint64_t ShmSession::begin_trial(std::uint64_t seed,
   // dut-lint: ordering(trial-publish): release publishes trial_seed and
   // trial_flags (and the resets above) to wait_trial's acquire load.
   c.trial_seq.store(seq, std::memory_order_release);
+  // dut-lint: ordering(trial-wake): release orders the trial_seq store
+  // before the bump, so a waiter that reads the new word also reads the
+  // new trial.
+  c.trial_wake.fetch_add(1, std::memory_order_release);
+  futex_wake_all(c.trial_wake);
   return seq;
 }
 
@@ -306,12 +337,26 @@ void ShmSession::end_session() noexcept {
   // dut-lint: ordering(shutdown-visibility): release so the wake-up bump
   // is never seen before the shutdown flag itself.
   c.trial_seq.fetch_add(1, std::memory_order_release);
+  // dut-lint: handoff(trial_wake): shutdown wake-up — like the trial_seq
+  // bump above, the one write off begin_trial's path; it releases workers
+  // blocked on the futex.
+  // dut-lint: ordering(trial-wake): release orders the shutdown flag and
+  // the trial_seq bump before the word that wakes the waiters.
+  c.trial_wake.fetch_add(1, std::memory_order_release);
+  futex_wake_all(c.trial_wake);
 }
 
 ShmSession::Trial ShmSession::wait_trial(std::uint64_t last_seq) {
   shm::ShmControl& c = *control();
   Backoff backoff;
   for (;;) {
+    // The futex word is read first: begin_trial and end_session bump it
+    // only after their trial_seq store, so if the checks below still see
+    // the old trial, the word read here predates the bump, and the futex
+    // wait either returns at once or is queued before the wake.
+    // dut-lint: ordering(trial-wake): acquire pairs with the release bumps
+    // in begin_trial and end_session.
+    const std::uint32_t wake = c.trial_wake.load(std::memory_order_acquire);
     // The counter is read before the flag: end_session sets the flag and
     // then bumps the counter, so a bump seen here implies the flag is seen
     // below. In the other order the shutdown bump could be taken for a
@@ -330,7 +375,7 @@ ShmSession::Trial ShmSession::wait_trial(std::uint64_t last_seq) {
                    .seed = c.trial_seed,
                    .flags = c.trial_flags};
     }
-    backoff.pause_ignoring_abort(*this);
+    backoff.wait_ignoring_abort(*this, c.trial_wake, wake);
   }
 }
 

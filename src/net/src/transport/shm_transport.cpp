@@ -58,7 +58,7 @@ void ShmTransport::begin_run(std::uint32_t num_nodes, bool fault_mode,
   out_batches_.assign(num_ranks_, {});
   out_sent_.assign(num_ranks_, 0);
   in_batches_.assign(num_ranks_, {});
-  in_expected_.assign(num_ranks_, 0);
+  in_read_.assign(num_ranks_, 0);
 }
 
 void ShmTransport::stage(const detail::ArenaRecord& rec,
@@ -89,6 +89,7 @@ void ShmTransport::enqueue_delayed(const detail::ArenaRecord& rec,
 }
 
 void ShmTransport::serialize_batch(std::uint32_t peer, std::uint64_t round,
+                                   RoundCounts counts,
                                    std::vector<std::uint64_t>& out) const {
   const auto [peer_first, peer_last] = shard_of(peer, num_nodes_, num_ranks_);
   out.clear();
@@ -129,17 +130,17 @@ void ShmTransport::serialize_batch(std::uint32_t peer, std::uint64_t round,
   out[1] = fresh;
   out[2] = delayed;
   out[3] = out.size() - payload_at;
+  out[4] = counts.live;
+  out[5] = counts.crashes;
 }
 
 void ShmTransport::pump_rings(std::uint64_t round) {
   for (std::uint32_t peer = 0; peer < num_ranks_; ++peer) {
     if (peer == rank_) continue;
-    serialize_batch(peer, round, out_batches_[peer]);
     out_sent_[peer] = 0;
-    in_batches_[peer].clear();
-    in_expected_[peer] = 0;
+    in_batches_[peer].resize(kBatchHeaderWords);
+    in_read_[peer] = 0;
   }
-  std::uint64_t pop_buf[256];
   ShmSession::Backoff backoff;
   for (;;) {
     bool progress = false;
@@ -156,31 +157,27 @@ void ShmTransport::pump_rings(std::uint64_t round) {
         progress = progress || pushed != 0;
         if (out_sent_[peer] < out.size()) done = false;
       }
-      // Drain whatever `peer` has pushed for us.
+      // Drain `peer`'s batch for us: the header, then exactly the words it
+      // announces. The peer may already have queued its next round's batch
+      // behind this one; those words stay in the ring for the next call.
       std::vector<std::uint64_t>& in = in_batches_[peer];
-      if (in_expected_[peer] == 0 || in.size() < in_expected_[peer]) {
-        const std::size_t want =
-            in_expected_[peer] == 0
-                ? sizeof pop_buf / sizeof pop_buf[0]
-                : std::min(in_expected_[peer] - in.size(),
-                           sizeof pop_buf / sizeof pop_buf[0]);
-        const std::size_t popped =
-            session_->ring_try_pop(peer, rank_, pop_buf, want);
-        in.insert(in.end(), pop_buf, pop_buf + popped);
-        progress = progress || popped != 0;
-        if (in_expected_[peer] == 0 && in.size() >= kBatchHeaderWords) {
+      std::size_t& read = in_read_[peer];
+      while (read < in.size()) {
+        const std::size_t popped = session_->ring_try_pop(
+            peer, rank_, in.data() + read, in.size() - read);
+        if (popped == 0) break;
+        progress = true;
+        read += popped;
+        if (read == kBatchHeaderWords && in.size() == kBatchHeaderWords) {
           if (in[0] != round) {
             throw TransportAborted(
                 "ShmTransport: round-batch sequence mismatch");
           }
-          in_expected_[peer] = kBatchHeaderWords +
-                               in[1] * kFreshRecordWords +
-                               in[2] * kDelayedRecordWords + in[3];
-        }
-        if (in_expected_[peer] == 0 || in.size() < in_expected_[peer]) {
-          done = false;
+          in.resize(kBatchHeaderWords + in[1] * kFreshRecordWords +
+                    in[2] * kDelayedRecordWords + in[3]);
         }
       }
+      if (read < in.size()) done = false;
     }
     if (done) return;
     if (!progress) backoff.pause(*session_);
@@ -223,8 +220,8 @@ void ShmTransport::merge_own_staging() {
 
 void ShmTransport::merge_peer_batch(std::uint32_t peer, std::uint64_t round) {
   const std::vector<std::uint64_t>& in = in_batches_[peer];
-  // Batches pumped at flip_round(R) carry the sends staged while round R-1
-  // executed (flip_round(0) pumps empty batches).
+  // Batches exchanged for round R carry the sends staged while round R-1
+  // executed (exchange_round(0) ships empty batches).
   const std::uint64_t send_round = round == 0 ? 0 : round - 1;
   const std::uint64_t fresh = in[1];
   const std::uint64_t delayed = in[2];
@@ -252,8 +249,22 @@ void ShmTransport::merge_peer_batch(std::uint32_t peer, std::uint64_t round) {
   }
 }
 
-void ShmTransport::flip_round(std::uint64_t round) {
+RoundCounts ShmTransport::exchange_round(std::uint64_t round,
+                                         RoundCounts local) {
+  for (std::uint32_t peer = 0; peer < num_ranks_; ++peer) {
+    if (peer != rank_) serialize_batch(peer, round, local, out_batches_[peer]);
+  }
   pump_rings(round);
+  RoundCounts total = local;
+  for (std::uint32_t peer = 0; peer < num_ranks_; ++peer) {
+    if (peer == rank_) continue;
+    total.live += in_batches_[peer][4];
+    total.crashes += in_batches_[peer][5];
+  }
+  return total;
+}
+
+void ShmTransport::flip_round(std::uint64_t round) {
   // Splice every rank's sends destined to this shard in rank order — this
   // rank's own staging at its own slot — reproducing the global send order
   // the in-process arena sees; then the due delayed messages, whose list is
@@ -272,21 +283,13 @@ void ShmTransport::flip_round(std::uint64_t round) {
   staging_payload_.clear();
 }
 
-std::uint64_t ShmTransport::sync_active(std::uint64_t local_active) {
-  const std::uint64_t word = local_active;
-  session_->exchange(rank_, ++exchange_publishes_, {&word, 1}, sync_scratch_);
-  std::uint64_t total = 0;
-  for (const std::uint64_t v : sync_scratch_) total += v;
-  return total;
-}
-
 void ShmTransport::settle_run(std::uint64_t round) {
   // Sends staged during the final executed round never saw a delivery
-  // flip. Pump them once more: remote records pass the same
-  // delivery-boundary expiry the in-process engine applied at their send
-  // sites, and final-round delayed records join the arena's deferred list
-  // so the sweep below settles them too. Every rank reaches this point in fault
-  // mode, so the exchange pairs up like any other round flip.
+  // flip, but the loop's last exchange_round already carried them. Flip
+  // once more: remote records pass the same delivery-boundary expiry the
+  // in-process engine applied at their send sites, and final-round delayed
+  // records join the arena's deferred list so the sweep below settles them
+  // too.
   flip_round(round);
   arena_.expire_deferred(*hooks_);
 }

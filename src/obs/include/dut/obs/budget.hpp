@@ -17,6 +17,7 @@
 // failing `dut_trace check` and report validation rather than aborting the
 // run.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -77,11 +78,24 @@ class BudgetLedger {
  public:
   void begin_run(std::uint32_t nodes, const BudgetSpec& spec);
 
-  /// Meters one send. Returns a violation description when the send
-  /// breaches the spec, empty otherwise (the common case allocates
-  /// nothing).
-  std::string on_send(std::uint64_t round, std::uint32_t from,
-                      std::uint64_t bits);
+  /// Meters one send; true when it breaches the spec (the breach is counted
+  /// in usage().violations). Inline and allocation-free: it runs on every
+  /// send, and only a breach has anything to describe (send_breach).
+  [[nodiscard]] bool on_send(std::uint32_t from, std::uint64_t bits) {
+    ++usage_.messages;
+    usage_.max_edge_round_bits = std::max(usage_.max_edge_round_bits, bits);
+    if (from < node_bits_.size()) node_bits_[from] += bits;
+    if (over_width(bits) || usage_.messages > spec_.max_messages) {
+      ++usage_.violations;
+      return true;
+    }
+    return false;
+  }
+
+  /// Describes the breach on_send just reported for this send (`round` is
+  /// the send's round, for the text only).
+  std::string send_breach(std::uint64_t round, std::uint32_t from,
+                          std::uint64_t bits) const;
 
   /// Closes the run: checks `rounds` against the spec and finalizes the
   /// busiest-node figures. Returns a violation description or empty.
@@ -91,6 +105,10 @@ class BudgetLedger {
   const BudgetUsage& usage() const noexcept { return usage_; }
 
  private:
+  bool over_width(std::uint64_t bits) const noexcept {
+    return spec_.bits_per_edge_round != 0 && bits > spec_.bits_per_edge_round;
+  }
+
   BudgetSpec spec_;
   BudgetUsage usage_;
   std::vector<std::uint64_t> node_bits_;

@@ -45,6 +45,12 @@ struct TraceRunSummary {
   /// so any count here means the transcript breaks that guard.
   std::uint64_t duplicate_sends = 0;
 
+  /// Sends whose own round differs from the round of the last round marker
+  /// before them. The engine stamps every send with the round it runs, so
+  /// any count here means a send landed outside its round. A tail-truncated
+  /// run counts only after its first marker.
+  std::uint64_t misstamped_sends = 0;
+
   // Violations recorded before the run aborted.
   std::vector<std::string> violations;
 

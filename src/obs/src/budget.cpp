@@ -1,6 +1,7 @@
 #include "dut/obs/budget.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace dut::obs {
 
@@ -10,25 +11,16 @@ void BudgetLedger::begin_run(std::uint32_t nodes, const BudgetSpec& spec) {
   node_bits_.assign(nodes, 0);
 }
 
-std::string BudgetLedger::on_send(std::uint64_t round, std::uint32_t from,
-                                  std::uint64_t bits) {
-  ++usage_.messages;
-  usage_.max_edge_round_bits = std::max(usage_.max_edge_round_bits, bits);
-  if (from < node_bits_.size()) node_bits_[from] += bits;
-
-  if (spec_.bits_per_edge_round != 0 && bits > spec_.bits_per_edge_round) {
-    ++usage_.violations;
+std::string BudgetLedger::send_breach(std::uint64_t round, std::uint32_t from,
+                                      std::uint64_t bits) const {
+  if (over_width(bits)) {
     return std::to_string(bits) + " bits from node " + std::to_string(from) +
            " in round " + std::to_string(round) + " exceeds the declared " +
            std::to_string(spec_.bits_per_edge_round) + " bits/edge/round";
   }
-  if (usage_.messages > spec_.max_messages) {
-    ++usage_.violations;
-    return "message " + std::to_string(usage_.messages) +
-           " exceeds the declared cap of " +
-           std::to_string(spec_.max_messages) + " messages";
-  }
-  return {};
+  return "message " + std::to_string(usage_.messages) +
+         " exceeds the declared cap of " + std::to_string(spec_.max_messages) +
+         " messages";
 }
 
 std::string BudgetLedger::finish_run(std::uint64_t rounds) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -27,10 +28,21 @@ bool known_event_kind(const std::string& kind) {
          kind == "run_end";
 }
 
-/// `round_edges` holds the directed edges (from << 32 | to) that sent since
-/// the last round marker of the open run.
+/// The open run's round state: the directed edges (from << 32 | to) that
+/// sent since its last round marker, and that marker's round (none before
+/// the first marker).
+struct OpenRound {
+  std::set<std::uint64_t> edges;
+  std::optional<std::uint64_t> marker;
+
+  void reset() {
+    edges.clear();
+    marker.reset();
+  }
+};
+
 TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs,
-                      std::set<std::uint64_t>& round_edges) {
+                      OpenRound& open) {
   const Json* ev = line.get("ev");
   if (ev == nullptr) throw std::runtime_error("trace line missing 'ev'");
   const std::string& kind = ev->as_string();
@@ -67,7 +79,7 @@ TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs,
     }
     run.per_node_sent_bits.assign(run.info.nodes, 0);
     runs.push_back(std::move(run));
-    round_edges.clear();
+    open.reset();
     event.kind = TraceEvent::Kind::kRunStart;
     return event;
   }
@@ -92,15 +104,16 @@ TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs,
     TraceRunSummary partial;
     partial.truncated_tail = true;
     runs.push_back(std::move(partial));
-    round_edges.clear();
+    open.reset();
   }
   TraceRunSummary& run = runs.back();
 
   if (kind == "round") {
     ++run.rounds_seen;
-    round_edges.clear();
     event.kind = TraceEvent::Kind::kRound;
     event.round = field_u64(line, "round");
+    open.edges.clear();
+    open.marker = event.round;
     event.active = static_cast<std::uint32_t>(field_u64(line, "active"));
   } else if (kind == "send") {
     const std::uint64_t bits = field_u64(line, "bits");
@@ -121,8 +134,11 @@ TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs,
     event.round = field_u64(line, "round");
     event.from = from;
     event.to = static_cast<std::uint32_t>(field_u64(line, "to"));
-    if (!round_edges.insert((std::uint64_t{from} << 32) | event.to).second) {
+    if (!open.edges.insert((std::uint64_t{from} << 32) | event.to).second) {
       ++run.duplicate_sends;
+    }
+    if (open.marker.has_value() && *open.marker != event.round) {
+      ++run.misstamped_sends;
     }
     // dut-lint: allow(bits-funnel): parsed-back trace field, not a payload.
     event.bits = bits;
@@ -169,7 +185,7 @@ TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs,
 std::vector<TraceRunSummary> read_stream(std::istream& in,
                                          std::vector<TraceRun>* full) {
   std::vector<TraceRunSummary> runs;
-  std::set<std::uint64_t> round_edges;
+  OpenRound open;
   std::string line;
   std::uint64_t line_no = 0;
   while (std::getline(in, line)) {
@@ -178,7 +194,7 @@ std::vector<TraceRunSummary> read_stream(std::istream& in,
     try {
       const std::size_t before = runs.size();
       const TraceEvent event =
-          apply_line(Json::parse(line), runs, round_edges);
+          apply_line(Json::parse(line), runs, open);
       if (full != nullptr) {
         if (runs.size() > before) full->emplace_back();
         full->back().events.push_back(event);

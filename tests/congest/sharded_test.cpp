@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "dut/core/families.hpp"
 #include "dut/core/sampler.hpp"
 #include "dut/net/transport/worker_group.hpp"
+#include "dut/obs/json.hpp"
 #include "dut/obs/trace_reader.hpp"
 
 namespace dut::congest {
@@ -179,22 +181,30 @@ TEST(TransportCongestGate, CrashFaultSweepMatchesInProc) {
   }
 }
 
-TEST(TransportCongestGate, MergedTraceIsByteIdenticalToInProc) {
-  // The sharded run writes one transcript shard per rank; after the merge
-  // the file must equal the in-process transcript byte for byte.
+/// One traced trial at seed 314159, run in-process and over 2 shm ranks.
+struct TracedPair {
+  CongestRunResult inproc;
+  CongestRunResult sharded;
+  std::string inproc_trace;
+  std::string merged_trace;  ///< the coordinator's merge of the rank shards
+};
+
+TracedPair run_traced_pair(const std::string& name,
+                           const CongestResilience& resilience,
+                           const net::FaultPlan* faults) {
   const std::uint64_t n = 1 << 12;
   const std::uint32_t k = 1024;
   const auto plan = plan_congest(n, k, 0.9, 1.0 / 3.0,
                                  core::TailBound::kExactBinomial, 16);
-  ASSERT_TRUE(plan.feasible) << plan.infeasible_reason;
+  EXPECT_TRUE(plan.feasible) << plan.infeasible_reason;
   const Graph g = Graph::random_connected(k, 2.0, 23);
   const core::AliasSampler sampler(core::uniform(n));
   const std::uint64_t seed = 314159;
 
-  // Per-process names: ctest may run this case twice concurrently (on its
-  // own and inside transport_congest_gate), and shared paths would mix the
-  // two runs' rank shards.
-  const std::string tag = std::to_string(::getpid());
+  // Per-process names: ctest may run a case twice concurrently (on its own
+  // and inside transport_congest_gate), and shared paths would mix the two
+  // runs' rank shards.
+  const std::string tag = name + "_" + std::to_string(::getpid());
   const std::string inproc_path =
       testing::TempDir() + "sharded_inproc_trace_" + tag + ".jsonl";
   const std::string sharded_path =
@@ -205,32 +215,33 @@ TEST(TransportCongestGate, MergedTraceIsByteIdenticalToInProc) {
     std::remove((sharded_path + ".rank" + std::to_string(r)).c_str());
   }
 
-  ASSERT_EQ(setenv("DUT_TRACE", inproc_path.c_str(), 1), 0);
-  CongestRunResult inproc;
+  TracedPair pair;
+  EXPECT_EQ(setenv("DUT_TRACE", inproc_path.c_str(), 1), 0);
   try {
-    CongestSetup setup = make_congest_setup(plan, g);
-    inproc = run_congest_uniformity(plan, setup, sampler, seed, true);
+    CongestSetup setup = make_congest_setup(plan, g, resilience, faults);
+    pair.inproc = run_congest_uniformity(plan, setup, sampler, seed, true);
   } catch (...) {
     unsetenv("DUT_TRACE");
     throw;
   }
 
-  ASSERT_EQ(setenv("DUT_TRACE", sharded_path.c_str(), 1), 0);
+  EXPECT_EQ(setenv("DUT_TRACE", sharded_path.c_str(), 1), 0);
   std::vector<CongestRunResult> sharded;
   try {
     ShardedCongestOptions options;
     options.num_ranks = 2;
     options.seeds = {seed};
     options.traced_trial = 0;
+    options.resilience = resilience;
+    options.faults = faults;
     sharded = run_congest_uniformity_sharded(plan, g, sampler, options);
   } catch (...) {
     unsetenv("DUT_TRACE");
     throw;
   }
   unsetenv("DUT_TRACE");
-
-  ASSERT_EQ(sharded.size(), 1u);
-  expect_equal_trial(inproc, sharded[0], seed);
+  EXPECT_EQ(sharded.size(), 1u);
+  if (!sharded.empty()) pair.sharded = sharded[0];
 
   auto slurp = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -239,25 +250,90 @@ TEST(TransportCongestGate, MergedTraceIsByteIdenticalToInProc) {
     buffer << in.rdbuf();
     return buffer.str();
   };
-  const std::string a = slurp(inproc_path);
-  const std::string b = slurp(sharded_path);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b) << "merged sharded transcript diverges from in-process";
+  pair.inproc_trace = slurp(inproc_path);
+  pair.merged_trace = slurp(sharded_path);
 
   // The merge consumed the per-rank shard files.
   for (std::uint32_t r = 0; r < 2; ++r) {
     std::ifstream shard(sharded_path + ".rank" + std::to_string(r));
     EXPECT_FALSE(shard.good()) << "shard " << r << " left behind";
   }
-
-  // And the merged transcript is self-consistent under the trace reader.
-  const auto runs = obs::read_trace_file(sharded_path);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_TRUE(runs[0].consistent());
-  EXPECT_EQ(runs[0].messages, sharded[0].metrics.messages);
-  EXPECT_EQ(runs[0].total_bits, sharded[0].metrics.total_bits);
   std::remove(inproc_path.c_str());
   std::remove(sharded_path.c_str());
+  return pair;
+}
+
+TEST(TransportCongestGate, MergedTraceIsByteIdenticalToInProc) {
+  // The sharded run writes one transcript shard per rank; after the merge
+  // the file must equal the in-process transcript byte for byte.
+  const TracedPair pair = run_traced_pair("plain", CongestResilience{},
+                                          nullptr);
+  expect_equal_trial(pair.inproc, pair.sharded, 314159);
+  const std::string& a = pair.inproc_trace;
+  const std::string& b = pair.merged_trace;
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a, b) << "merged sharded transcript diverges from in-process";
+
+  // And the merged transcript is self-consistent under the trace reader.
+  const auto runs = obs::read_trace_text(b);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_TRUE(runs[0].consistent());
+  EXPECT_EQ(runs[0].messages, pair.sharded.metrics.messages);
+  EXPECT_EQ(runs[0].total_bits, pair.sharded.metrics.total_bits);
+}
+
+TEST(TransportCongestGate, MergedCrashTraceMatchesInProc) {
+  // A traced resilient run under crashes on both ranks. Each round marker's
+  // `active` is the all-rank live count minus the all-rank crash count the
+  // round exchange carries, so every marker must match the in-process one
+  // byte for byte. So must every other line, except that a cross-rank send
+  // to a crashed node expires at the delivery boundary, one round after the
+  // in-process send site (DESIGN.md §14): "expire" faults are compared by
+  // count only.
+  CongestResilience resilience;
+  resilience.enabled = true;
+  net::FaultPlan faults(3);
+  faults.add_crash(17, 4);   // rank 0's shard at 2 ranks ...
+  faults.add_crash(517, 4);  // ... and rank 1's, in the same round
+  // Both halt on their own first (922 in round 138, 62 in round 139), so
+  // these crashes find nothing left to stop.
+  faults.add_crash(922, 141);
+  faults.add_crash(62, 142);
+  const TracedPair pair = run_traced_pair("crash", resilience, &faults);
+  expect_equal_trial(pair.inproc, pair.sharded, 314159);
+  EXPECT_EQ(pair.sharded.metrics.faults.crashes, 2u);
+
+  // Splits a transcript into its non-expire lines and its expire count.
+  const auto split = [](const std::string& text) {
+    std::pair<std::vector<std::string>, std::size_t> out{{}, 0};
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+      if (line.find("\"kind\":\"expire\"") != std::string::npos) {
+        ++out.second;
+      } else {
+        out.first.push_back(line);
+      }
+    }
+    return out;
+  };
+  const auto [inproc_lines, inproc_expired] = split(pair.inproc_trace);
+  const auto [merged_lines, merged_expired] = split(pair.merged_trace);
+  EXPECT_GT(inproc_expired, 0u) << "the crashes should strand messages";
+  EXPECT_EQ(inproc_expired, merged_expired);
+  ASSERT_EQ(inproc_lines.size(), merged_lines.size());
+  for (std::size_t i = 0; i < inproc_lines.size(); ++i) {
+    ASSERT_EQ(inproc_lines[i], merged_lines[i]) << "line " << i;
+  }
+
+  std::map<std::uint64_t, std::uint64_t> active;  // round -> marker active
+  for (const std::string& line : merged_lines) {
+    const obs::Json event = obs::Json::parse(line);
+    if (event.get("ev")->as_string() == "round") {
+      active[event.get("round")->as_u64()] = event.get("active")->as_u64();
+    }
+  }
+  EXPECT_EQ(active[3], 1024u) << "nobody halts before round 4";
+  EXPECT_EQ(active[4], 1022u) << "two crashes on two ranks in round 4";
 }
 
 TEST(TransportCongestGate, OptionValidation) {

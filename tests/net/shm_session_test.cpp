@@ -1,15 +1,18 @@
 // ShmSession unit coverage: the contiguous shard partition, the SPSC
-// rings, the lockstep all-gather, first-wins abort propagation and the
-// trial handshake. The session is plain shared memory, so two std::threads
-// over one anonymous segment exercise the same code paths two rank
-// processes would.
+// rings, the lockstep all-gather, first-wins abort propagation, the trial
+// handshake, and ShmTransport's round-batch framing. The session is plain
+// shared memory, so two std::threads over one anonymous segment exercise
+// the same code paths two rank processes would.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -190,6 +193,149 @@ TEST(ShmSession, TrialHandshakeDeliversSeedsInOrder) {
     EXPECT_EQ(served[t].first, 7000 + t);
     EXPECT_EQ(served[t].second, t == 1 ? 1u : 0u);
   }
+}
+
+/// Idles the calling thread for 20 ms, longer than a ShmSession::Backoff
+/// spends spinning and yielding (~5 ms).
+void idle_past_the_yield_stage() {
+  // dut-lint: allow(os-primitives-confined): the test needs real idle time
+  // so the peer thread reaches its futex stage; no protocol code runs here.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(ShmSession, WorkerIdlePastItsYieldStageServesEveryTrial) {
+  // The coordinator idles before each trial and before the shutdown, so
+  // the worker is blocked in wait_trial's futex stage whenever either is
+  // published: begin_trial and end_session must wake it, and every trial
+  // must be served in order.
+  ShmSession session = ShmSession::create_anonymous(
+      ShmSession::Options{.num_ranks = 2});
+  constexpr std::uint64_t kTrials = 4;
+  std::vector<std::uint64_t> served;
+  std::thread worker([&] {
+    std::uint64_t last_seq = 0;
+    std::vector<std::uint64_t> worker_all;
+    for (;;) {
+      const ShmSession::Trial trial = session.wait_trial(last_seq);
+      if (trial.shutdown) return;
+      last_seq = trial.seq;
+      served.push_back(trial.seed);
+      const std::uint64_t local = trial.seed;
+      session.exchange(1, 1, std::span<const std::uint64_t>(&local, 1),
+                       worker_all);
+      session.post_ready(1, trial.seq);
+    }
+  });
+
+  std::vector<std::uint64_t> all;
+  for (std::uint64_t t = 0; t < kTrials; ++t) {
+    idle_past_the_yield_stage();
+    const std::uint64_t seq = session.begin_trial(500 + t, 0);
+    const std::uint64_t local = 500 + t;
+    session.exchange(0, 1, std::span<const std::uint64_t>(&local, 1), all);
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_EQ(all[0], all[1]) << "trial " << t;
+    session.post_ready(0, seq);
+  }
+  idle_past_the_yield_stage();
+  session.end_session();
+  worker.join();
+
+  ASSERT_EQ(served.size(), kTrials);
+  for (std::uint64_t t = 0; t < kTrials; ++t) EXPECT_EQ(served[t], 500 + t);
+}
+
+/// Hooks for a transport driven by hand: nobody halts, nothing expires.
+class IdleHooks final : public TransportHooks {
+ public:
+  bool is_halted(std::uint32_t) const noexcept override { return false; }
+  std::uint64_t halt_key(std::uint32_t) const noexcept override {
+    return kNeverHalted;
+  }
+  void count_expired(std::uint32_t, std::uint32_t) override { ++expired; }
+  [[noreturn]] void reject_remote_to_halted(std::uint32_t,
+                                            std::uint32_t) override {
+    throw std::logic_error("no node halts here");
+  }
+  std::uint64_t expired = 0;
+};
+
+TEST(ShmTransport, ExchangeTakesExactlyOneQueuedBatchPerRound) {
+  // No barrier keeps ranks in step between exchanges, so a fast peer may
+  // queue round r+1's batch behind round r's before this rank reads either.
+  // Rank 1's two batches are written into its ring by hand here; rank 0's
+  // exchange must take round r's batch and counts, then round r+1's, and
+  // each flip must merge its own batch's records exactly once.
+  ShmSession session = ShmSession::create_anonymous(
+      ShmSession::Options{.num_ranks = 2});
+  constexpr std::uint32_t kNodes = 8;  // rank 0: [0, 4), rank 1: [4, 8)
+  const std::vector<std::uint64_t> batches = {
+      // round 3: 5 -> 1 (2 fields), 6 -> 2 (1 field, duplicated)
+      3, 2, 0, 3, /*live=*/4, /*crashes=*/1,
+      shm::pack_endpoints(5, 1), 10, 2,
+      shm::pack_endpoints(6, 2), 20, 1 | shm::kDupFlag,
+      111, 112, 113,
+      // round 4: 4 -> 1 (1 field)
+      4, 1, 0, 1, /*live=*/3, /*crashes=*/0,
+      shm::pack_endpoints(4, 1), 9, 1,
+      444};
+  ASSERT_EQ(session.ring_try_push(1, 0, batches.data(), batches.size()),
+            batches.size());
+
+  IdleHooks hooks;
+  ShmTransport transport(session, 0);
+  transport.begin_run(kNodes, /*fault_mode=*/false, hooks);
+  const auto messages = [&](std::uint32_t node) {
+    std::vector<std::vector<std::uint64_t>> out;
+    for (const MessageView m : transport.inbox(node)) {
+      std::vector<std::uint64_t> words = {m.sender, m.bits};
+      words.insert(words.end(), m.fields().begin(), m.fields().end());
+      out.push_back(words);
+    }
+    return out;
+  };
+  using Inbox = std::vector<std::vector<std::uint64_t>>;
+
+  const RoundCounts r3 =
+      transport.exchange_round(3, {.live = 4, .crashes = 0});
+  EXPECT_EQ(r3.live, 8u);
+  EXPECT_EQ(r3.crashes, 1u);
+  transport.flip_round(3);
+  EXPECT_EQ(messages(1), (Inbox{{5, 10, 111, 112}}));
+  EXPECT_EQ(messages(2), (Inbox{{6, 20, 113}, {6, 20, 113}}));
+  EXPECT_EQ(std::vector<std::uint32_t>(transport.receivers().begin(),
+                                       transport.receivers().end()),
+            (std::vector<std::uint32_t>{1, 2}));
+
+  // Round 4's batch must still be queued whole. Checked by popping it and
+  // pushing it back: a reader that swallowed it would leave the round-4
+  // exchange waiting out the backoff deadline (~2 minutes) instead.
+  const std::vector<std::uint64_t> round4(batches.begin() + 15,
+                                          batches.end());
+  std::vector<std::uint64_t> queued(round4.size() + 1);
+  queued.resize(session.ring_try_pop(1, 0, queued.data(), queued.size()));
+  ASSERT_EQ(queued, round4) << "the round-3 exchange read past its batch";
+  ASSERT_EQ(session.ring_try_push(1, 0, queued.data(), queued.size()),
+            queued.size());
+
+  const RoundCounts r4 =
+      transport.exchange_round(4, {.live = 4, .crashes = 2});
+  EXPECT_EQ(r4.live, 7u);
+  EXPECT_EQ(r4.crashes, 2u);
+  transport.flip_round(4);
+  EXPECT_EQ(messages(1), (Inbox{{4, 9, 444}}));
+  EXPECT_TRUE(messages(2).empty());
+  std::uint64_t rest[1];
+  EXPECT_EQ(session.ring_try_pop(1, 0, rest, 1), 0u) << "ring not drained";
+
+  // Rank 0's own batches went out the same way: one empty batch per round,
+  // each carrying this rank's counts.
+  std::uint64_t sent[2 * shm::kBatchHeaderWords + 1];
+  ASSERT_EQ(session.ring_try_pop(0, 1, sent, std::size(sent)),
+            2 * shm::kBatchHeaderWords);
+  EXPECT_EQ(std::vector<std::uint64_t>(sent, sent + 2 * shm::kBatchHeaderWords),
+            (std::vector<std::uint64_t>{3, 0, 0, 0, 4, 0, 4, 0, 0, 0, 4, 2}));
+  EXPECT_EQ(hooks.expired, 0u);
 }
 
 TEST(ShmSession, NamedSegmentsRoundTrip) {

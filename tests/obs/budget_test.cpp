@@ -32,9 +32,9 @@ TEST(BudgetSpec, FactoriesMatchTheirModels) {
 TEST(BudgetLedger, WithinBudgetRunReportsNoViolations) {
   BudgetLedger ledger;
   ledger.begin_run(3, BudgetSpec::congest(8, 10));
-  EXPECT_TRUE(ledger.on_send(0, 0, 8).empty()) << "at the limit is legal";
-  EXPECT_TRUE(ledger.on_send(0, 1, 5).empty());
-  EXPECT_TRUE(ledger.on_send(1, 0, 3).empty());
+  EXPECT_FALSE(ledger.on_send(0, 8)) << "at the limit is legal";
+  EXPECT_FALSE(ledger.on_send(1, 5));
+  EXPECT_FALSE(ledger.on_send(0, 3));
   EXPECT_TRUE(ledger.finish_run(10).empty()) << "at the round cap is legal";
 
   const BudgetUsage& usage = ledger.usage();
@@ -48,19 +48,20 @@ TEST(BudgetLedger, WithinBudgetRunReportsNoViolations) {
 TEST(BudgetLedger, OverWideSendIsASoftViolation) {
   BudgetLedger ledger;
   ledger.begin_run(2, BudgetSpec::congest(8, 10));
-  const std::string violation = ledger.on_send(0, 0, 9);
-  EXPECT_FALSE(violation.empty());
-  EXPECT_NE(violation.find("9"), std::string::npos);
+  EXPECT_TRUE(ledger.on_send(0, 9));
+  EXPECT_EQ(ledger.send_breach(0, 0, 9),
+            "9 bits from node 0 in round 0 exceeds the declared 8 "
+            "bits/edge/round");
   EXPECT_EQ(ledger.usage().violations, 1u);
   // The ledger keeps metering after a violation (soft check, not an abort).
-  EXPECT_TRUE(ledger.on_send(1, 0, 4).empty());
+  EXPECT_FALSE(ledger.on_send(0, 4));
   EXPECT_EQ(ledger.usage().messages, 2u);
 }
 
 TEST(BudgetLedger, RoundOverrunIsCaughtAtFinish) {
   BudgetLedger ledger;
   ledger.begin_run(2, BudgetSpec::local(5));
-  EXPECT_TRUE(ledger.on_send(0, 0, 1000).empty())
+  EXPECT_FALSE(ledger.on_send(0, 1000))
       << "LOCAL leaves message width unbounded";
   const std::string violation = ledger.finish_run(6);
   EXPECT_FALSE(violation.empty());
@@ -70,7 +71,9 @@ TEST(BudgetLedger, RoundOverrunIsCaughtAtFinish) {
 TEST(BudgetLedger, ZeroRoundSpecForbidsAnyMessage) {
   BudgetLedger ledger;
   ledger.begin_run(2, BudgetSpec::zero_round());
-  EXPECT_FALSE(ledger.on_send(0, 0, 1).empty());
+  EXPECT_TRUE(ledger.on_send(0, 1));
+  EXPECT_EQ(ledger.send_breach(0, 0, 1),
+            "message 1 exceeds the declared cap of 0 messages");
   EXPECT_EQ(ledger.usage().violations, 1u);
   EXPECT_TRUE(ledger.finish_run(0).empty());
 }
@@ -78,7 +81,7 @@ TEST(BudgetLedger, ZeroRoundSpecForbidsAnyMessage) {
 TEST(BudgetLedger, UnboundedSpecNeverViolates) {
   BudgetLedger ledger;
   ledger.begin_run(2, BudgetSpec{});
-  EXPECT_TRUE(ledger.on_send(0, 0, UINT64_MAX).empty());
+  EXPECT_FALSE(ledger.on_send(0, UINT64_MAX));
   EXPECT_TRUE(ledger.finish_run(UINT64_MAX).empty());
   EXPECT_EQ(ledger.usage().violations, 0u);
 }
@@ -86,8 +89,8 @@ TEST(BudgetLedger, UnboundedSpecNeverViolates) {
 TEST(BudgetLedger, BeginRunResetsUsageForPooledEngines) {
   BudgetLedger ledger;
   ledger.begin_run(2, BudgetSpec::congest(4, 10));
-  (void)ledger.on_send(0, 1, 4);
-  (void)ledger.on_send(1, 1, 4);
+  (void)ledger.on_send(1, 4);
+  (void)ledger.on_send(1, 4);
   (void)ledger.finish_run(2);
   EXPECT_EQ(ledger.usage().messages, 2u);
   EXPECT_EQ(ledger.usage().busiest_node, 1u);
@@ -97,7 +100,7 @@ TEST(BudgetLedger, BeginRunResetsUsageForPooledEngines) {
   ledger.begin_run(3, BudgetSpec::congest(4, 10));
   EXPECT_EQ(ledger.usage().messages, 0u);
   EXPECT_EQ(ledger.usage().max_node_bits, 0u);
-  (void)ledger.on_send(0, 2, 3);
+  (void)ledger.on_send(2, 3);
   EXPECT_TRUE(ledger.finish_run(1).empty());
   EXPECT_EQ(ledger.usage().messages, 1u);
   EXPECT_EQ(ledger.usage().busiest_node, 2u);

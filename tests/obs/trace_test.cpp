@@ -150,6 +150,7 @@ TEST(JsonlTraceWriter, TailModeKeepsOnlyTheLastRounds) {
   EXPECT_LE(run.rounds_seen, kTail);
   EXPECT_GE(run.rounds_seen, kTail - 1);
   EXPECT_EQ(run.messages, run.rounds_seen);
+  EXPECT_EQ(run.misstamped_sends, 0u);
   EXPECT_TRUE(run.has_end);
   EXPECT_FALSE(run.consistent()) << "tail traces never consistency-match";
 }
@@ -180,6 +181,32 @@ TEST(TraceReader, MalformedLinesThrowWithLineNumber) {
   EXPECT_THROW(read_trace_text("{\"round\":0}\n"), std::runtime_error);
   EXPECT_THROW(read_trace_file("/nonexistent/trace.jsonl"),
                std::runtime_error);
+}
+
+TEST(TraceReader, SendsOutsideTheirMarkersRoundAreCounted) {
+  const auto runs = read_trace_text(
+      "{\"ev\":\"run_start\",\"model\":\"congest\",\"nodes\":3,"
+      "\"bandwidth_bits\":8,\"max_rounds\":10,\"seed\":1}\n"
+      "{\"ev\":\"round\",\"round\":0,\"active\":3}\n"
+      "{\"ev\":\"send\",\"round\":0,\"from\":0,\"to\":1,\"bits\":4}\n"
+      "{\"ev\":\"send\",\"round\":1,\"from\":1,\"to\":2,\"bits\":4}\n"
+      "{\"ev\":\"round\",\"round\":1,\"active\":3}\n"
+      "{\"ev\":\"send\",\"round\":1,\"from\":2,\"to\":1,\"bits\":4}\n"
+      "{\"ev\":\"run_end\",\"rounds\":2,\"messages\":3,\"total_bits\":12,"
+      "\"max_message_bits\":4}\n");
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].misstamped_sends, 1u) << "round 1's send under marker 0";
+  EXPECT_TRUE(runs[0].consistent());
+
+  // A tail-truncated run starts mid-round: sends before its first marker
+  // have no marker to disagree with.
+  const auto tail = read_trace_text(
+      "{\"ev\":\"send\",\"round\":6,\"from\":0,\"to\":1,\"bits\":4}\n"
+      "{\"ev\":\"round\",\"round\":7,\"active\":2}\n"
+      "{\"ev\":\"send\",\"round\":7,\"from\":0,\"to\":1,\"bits\":4}\n");
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_TRUE(tail[0].truncated_tail);
+  EXPECT_EQ(tail[0].misstamped_sends, 0u);
 }
 
 TEST(TraceReader, UnknownEventKindsAreCountedNotFatal) {

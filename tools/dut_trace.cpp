@@ -9,8 +9,9 @@
 //   dut_trace check <trace.jsonl> [--report <report.json>]
 //       exit 0 iff every complete run recounts to its declared totals and
 //       stays within its declared budget: no violation, no unknown event,
-//       no duplicate (round, directed edge) send, no send over the
-//       bandwidth, no round or message count over its cap. --report also
+//       no duplicate (round, directed edge) send, no send stamped with a
+//       round other than its round marker's, no send over the bandwidth,
+//       no round or message count over its cap. --report also
 //       requires the traced maxima to sit within the report's `budget`
 //       section, and that section to record no violation.
 //
@@ -271,6 +272,13 @@ int check_run(const TraceRunSummary& run, std::size_t i) {
                  "run %zu: %llu duplicate (round, edge) send(s) — the "
                  "directed-edge guard was bypassed\n",
                  i, static_cast<U64>(run.duplicate_sends));
+    ++failures;
+  }
+  if (run.misstamped_sends > 0) {
+    std::fprintf(stderr,
+                 "run %zu: %llu send(s) stamped with a round other than "
+                 "their round marker's\n",
+                 i, static_cast<U64>(run.misstamped_sends));
     ++failures;
   }
   // With one send per directed edge per round, an edge's bits in a round

@@ -73,12 +73,17 @@ if [ "${1:-}" = "--serve" ]; then
   exit 0
 fi
 
-# Workers mode: `dut_cli run-congest --workers 2` takes the exec-spawned
+# Workers mode: `dut_cli run-congest --workers N` takes the exec-spawned
 # worker path (spawn_worker_processes re-executes dut_cli, each worker opens
 # the named shm session) and must print exactly what the single-process run
 # prints, apart from its "sharded over" banner. Both flag sets of the
-# cli_run_congest and cli_run_congest_faults entries are checked, so the
-# resilient protocol's quorum and fault tallies must match too.
+# cli_run_congest and cli_run_congest_faults entries are checked at 2
+# workers, so the resilient protocol's quorum and fault tallies must match
+# too. The faults set runs again at 3 workers under a crash plan that stops
+# a node on every rank, two of them in one round: the round exchange then
+# sums live and crash counts over more than one peer. (Every crashed node's
+# ring neighbours share its shard at 2 and 3 ranks, so the drop and dup
+# draws stay rank-independent; see DESIGN.md §14.)
 if [ "${1:-}" = "--workers" ]; then
   if [ "$#" -ne 2 ]; then
     echo "usage: $0 --workers <dut_cli-binary>" >&2
@@ -87,22 +92,29 @@ if [ "${1:-}" = "--workers" ]; then
   dut_cli=$2
   check_workers() {
     local name=$1
-    shift
+    local workers=$2
+    shift 2
     local single sharded
     single=$("$dut_cli" run-congest "$@")
-    sharded=$("$dut_cli" run-congest "$@" --workers 2 \
+    sharded=$("$dut_cli" run-congest "$@" --workers "$workers" \
       | grep -v '^sharded over')
     if [ "$single" != "$sharded" ]; then
-      echo "smoke: run-congest ($name) output diverged under --workers 2" >&2
+      echo "smoke: run-congest ($name) output diverged under --workers" \
+           "$workers" >&2
       diff <(echo "$single") <(echo "$sharded") >&2 || true
       exit 1
     fi
   }
-  check_workers plain --n 4096 --k 1024 --eps 1.6 --topology ring \
+  check_workers plain 2 --n 4096 --k 1024 --eps 1.6 --topology ring \
     --family paninski --trials 5
-  check_workers faults --n 4096 --k 1024 --eps 1.6 --topology ring \
+  check_workers faults 2 --n 4096 --k 1024 --eps 1.6 --topology ring \
     --trials 5 --faults drop=0.02,dup=0.01,crash=3@0 --quorum 1000
-  echo "smoke: run-congest output identical with and without --workers 2"
+  # Ranks at 3 workers: [0, 342), [342, 683), [683, 1024).
+  check_workers faults 3 --n 4096 --k 1024 --eps 1.6 --topology ring \
+    --trials 5 --faults drop=0.02,dup=0.01,crash=3@0+400@5+800@5 \
+    --quorum 1000
+  echo "smoke: run-congest output identical with and without --workers 2" \
+       "and 3"
   exit 0
 fi
 
