@@ -20,6 +20,7 @@
 //                     local default; EXPERIMENTS.md archives full runs.
 //   --trial-scale=D / DUT_TRIAL_SCALE=D
 //                     explicit divisor (D >= 1) for finer control.
+//   Any other argument, or a malformed D, is refused (exit status 2).
 //   DUT_TRACE=path    JSONL protocol transcript for every engine run
 //                     (DUT_TRACE_TAIL=N, DUT_TRACE_LEVEL=2; DESIGN.md §9).
 //   DUT_OBS_LEVEL=0   disable the metrics registry and tracing entirely.
@@ -77,17 +78,29 @@ inline std::string report_id(const char* banner_id) {
 }
 }  // namespace detail
 
-/// Applies --quick / --trial-scale=D. Call first thing in main().
+/// Applies --quick / --trial-scale=D (D in [1, 10^9]), the only arguments
+/// an experiment takes. Anything else, a malformed D included, prints the
+/// usage line to stderr and exits with status 2 before banner(), so no
+/// report is written. Call first thing in main().
 inline void parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--quick") == 0) {
       detail::trial_divisor() = 16;
-    } else if (std::strncmp(arg, "--trial-scale=", 14) == 0) {
+      continue;
+    }
+    if (std::strncmp(arg, "--trial-scale=", 14) == 0) {
       if (const auto v = obs::parse_u64(arg + 14, 1, 1'000'000'000)) {
         detail::trial_divisor() = *v;
+        continue;
       }
     }
+    std::fprintf(stderr,
+                 "error: unknown or malformed argument '%s'\n"
+                 "usage: %s [--quick] [--trial-scale=D]  (D in [1, "
+                 "1000000000])\n",
+                 arg, argv[0]);
+    std::exit(2);
   }
 }
 

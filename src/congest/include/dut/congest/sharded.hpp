@@ -53,9 +53,10 @@ struct ShardedCongestOptions {
     const CongestPlan& plan, const net::Graph& graph,
     const core::AliasSampler& sampler, const ShardedCongestOptions& options);
 
-/// Coordinator loop (rank 0) over an existing session — the building block
-/// dut_cli's --workers mode drives with exec-spawned workers instead of
-/// forks. Throws the mapped peer exception if any rank aborts a trial.
+/// Coordinator loop (rank 0) over an existing session whose workers the
+/// caller forked (net::WorkerGroup running serve_congest_uniformity), for
+/// callers that keep one rank group across many calls. Throws the mapped
+/// peer exception if any rank aborts a trial.
 [[nodiscard]] std::vector<CongestRunResult> coordinate_congest_uniformity(
     net::ShmSession& session, const CongestPlan& plan,
     const net::Graph& graph, const core::AliasSampler& sampler,

@@ -305,7 +305,7 @@ CongestRunResult run_congest_trial(const CongestPlan& plan,
             std::span<const std::uint64_t>(summary, kSummaryWords), all);
 
         CongestRunResult result;
-        result.metrics = metrics;  // post-reduction: already global
+        result.metrics = metrics;  // folded over the ranks: already global
         const std::uint64_t* winner = nullptr;
         for (std::uint32_t r = 0; r < transport.num_ranks(); ++r) {
           const std::uint64_t* s = all.data() + r * kSummaryWords;

@@ -41,8 +41,8 @@
 // net::ProtocolDriver). Attaching a ShmTransport instead shards the node
 // range over multiple rank processes that exchange rounds through shared
 // memory; the engine then executes only its rank's shard and the metrics
-// it reports are the all-rank reduction (bit-identical to the
-// single-process run).
+// it reports are the all-rank fold (bit-identical to the single-process
+// run).
 //
 // Sync points and round cost. Ranks synchronize at exactly one point per
 // round: Transport::exchange_round, called once before round 0 and once
@@ -53,7 +53,10 @@
 // builds the inboxes locally. A round therefore costs one exchange plus
 // O(woken nodes + messages + fields + receivers + span/4096) — the last
 // term the arena's receiver-bitmap summary — with no per-message
-// allocation; in-process the exchange is the identity.
+// allocation; in-process the exchange is the identity. After the loop a
+// run synchronizes once more: it gathers every rank's 15 EngineMetrics
+// words through Transport::exchange_summaries and folds them (max of
+// rounds and widths, sum of counts), the 1-block identity in process.
 //
 // Observability: a run emits structured events (run_start, round, send,
 // deliver, halt, violation, run_end) to an obs::TraceSink attached with
@@ -353,6 +356,10 @@ class Engine : private TransportHooks {
 
   obs::BudgetLedger ledger_;
   RunPreamble run_preamble_;
+
+  /// Every rank's packed EngineMetrics, gathered after each run through
+  /// the transport; kept so a pooled engine's gather stays allocation-free.
+  std::vector<std::uint64_t> metrics_gather_;
 };
 
 }  // namespace dut::net

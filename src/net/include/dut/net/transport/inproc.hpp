@@ -56,7 +56,6 @@ class InProcTransport final : public Transport {
   }
   bool has_undelivered() const override { return arena_.has_pending(); }
   void settle_run(std::uint64_t round) override;
-  void reduce_metrics(EngineMetrics&) override {}
   void exchange_summaries(std::span<const std::uint64_t> local,
                           std::vector<std::uint64_t>& all) override {
     all.assign(local.begin(), local.end());

@@ -2,63 +2,45 @@
 
 // Shared-memory segment layout for ShmTransport (DESIGN.md §14).
 //
-// One segment serves one rank group. It holds, in order: a control block
-// (trial lockstep state), one exchange cell per rank (the all-gather used
-// for the post-run metrics reduction and verdict summaries only), and one
-// SPSC word ring per directed rank pair (the round batches, which also
-// carry each rank's live and crash counts: a round touches nothing else).
-// Everything is plain-old-data over std::atomic integers; the segment is
-// mapped at different addresses in different processes, so the layout
-// stores no pointers — only offsets computed from (num_ranks, ring_words).
+// One anonymous segment serves one rank group. It holds, in order: a
+// control block (trial lockstep state) and one SPSC word ring per directed
+// rank pair. The rings carry every word that crosses ranks: the round
+// batches, which also carry each rank's live and crash counts, and the
+// post-run gather batches (metrics and verdict summaries). Everything is
+// plain-old-data over std::atomic integers, and the layout stores no
+// pointers — only offsets computed from (num_ranks, ring_words).
 //
 // This header is the wire/reinterpret_cast funnel for the transport: all
 // casting between the raw mapping and these structs happens in
 // ShmSession (shm_session.cpp), nowhere else — dut_lint enforces that.
 //
 // Synchronization recap:
-//  * ExchangeCell implements a lockstep all-gather. Publish number c
-//    (1-based) writes words[c & 1] then seq.store(c, release); readers wait
-//    for seq >= c and read words[c & 1]. Double-buffering by parity is
-//    sufficient: a rank only starts publish c+2 (overwriting c's slot)
-//    after observing every peer at c+1, and a peer posts c+1 only after it
-//    finished reading c.
 //  * Ring is a single-producer single-consumer ring of uint64 words.
 //    head/tail are free-running word counts on separate cache lines; the
 //    data region (ring_words words, not necessarily a power of two) follows
 //    the header. Producers and consumers make progress independently, and
-//    ShmTransport pumps sends and receives together so oversized round
-//    batches can never deadlock a rank pair. No barrier keeps the ranks in
+//    ShmTransport pumps sends and receives together so batches larger than
+//    the ring can never deadlock a rank pair. No barrier keeps the ranks in
 //    step between batches, so a rank may already have queued its next
-//    round's batch behind the one a slower peer is still reading: a reader
-//    takes exactly one batch per exchange — the header words first, then
-//    exactly the length the header announces — and never reads past it.
+//    batch behind the one a slower peer is still reading: a reader takes
+//    exactly one batch per exchange — the header words first, then exactly
+//    the length the header announces — and never reads past it.
 //  * trial_wake is a 32-bit futex word. A worker that has spun and yielded
 //    through its backoff in wait_trial blocks on it (1 ms timeout per wait);
 //    begin_trial and end_session bump it and wake every waiter.
 //  * The trial protocol (ShmSession::begin_trial / wait_trial / post_ready)
-//    resets rings, exchange cells and the abort state between trials, so an
-//    aborted run can never leave two ranks' exchange counters misaligned
-//    for the next one.
+//    resets the rings and the abort state between trials, so an aborted
+//    run can never leave a half-read batch in a ring for the next one.
 
 #include <atomic>
 #include <cstdint>
 
 namespace dut::net::shm {
 
-inline constexpr std::uint64_t kMagic = 0x4455545348'4d5632ULL;  // "DUTSHMV2"
 inline constexpr std::uint32_t kMaxRanks = 16;
-/// Words per exchange publish; large enough for the metrics reduction and
-/// the congest verdict summaries with room to grow.
-inline constexpr std::uint32_t kExchangeWords = 64;
 inline constexpr std::size_t kCacheLine = 64;
 /// Bytes of the abort cause kept in the control block, NUL included.
 inline constexpr std::size_t kAbortCauseBytes = 256;
-
-/// Lockstep all-gather slot for one rank (see file comment).
-struct alignas(kCacheLine) ExchangeCell {
-  std::atomic<std::uint64_t> seq{0};  ///< completed publishes, 1-based
-  std::uint64_t words[2][kExchangeWords]{};  ///< double-buffered by parity
-};
 
 /// SPSC word-ring header; `ring_words` data words follow immediately.
 struct alignas(kCacheLine) RingHeader {
@@ -69,11 +51,9 @@ struct alignas(kCacheLine) RingHeader {
 
 /// Segment-global coordination state, at offset 0 of the mapping.
 struct alignas(kCacheLine) ShmControl {
-  std::uint64_t magic = 0;
   std::uint32_t num_ranks = 0;
   std::uint32_t reserved_ = 0;
   std::uint64_t ring_words = 0;
-  std::uint64_t total_bytes = 0;
 
   /// Trial lockstep: the coordinator publishes (trial_seed, trial_flags)
   /// and then bumps trial_seq (release); workers spin on trial_seq and run
@@ -101,7 +81,6 @@ struct alignas(kCacheLine) ShmControl {
   std::atomic<std::uint32_t> trial_wake{0};
 
   alignas(kCacheLine) std::atomic<std::uint64_t> ready[kMaxRanks]{};
-  ExchangeCell exchange[kMaxRanks];
   // RingHeader + data for directed pair (from, to) at ring index
   // from * num_ranks + to follow; see ShmSession for offset math.
 };
@@ -124,7 +103,14 @@ struct alignas(kCacheLine) ShmControl {
 /// the batches alone give each rank the all-rank sums. A reader takes
 /// exactly one batch per exchange: kBatchHeaderWords words, then exactly
 /// the record and payload words they announce (see the Ring note above).
+///
+/// A post-run gather (Transport::exchange_summaries) travels the same way,
+/// as a batch with no records: header { kGatherTag, 0, 0, n, 0, 0 }, then
+/// the sender's n words. Rounds stay below 2^31, so no round batch carries
+/// the tag, and the reader's sequence check refuses a round batch where a
+/// gather is due and a gather where a round is.
 inline constexpr std::size_t kBatchHeaderWords = 6;
+inline constexpr std::uint64_t kGatherTag = ~std::uint64_t{0};
 inline constexpr std::size_t kFreshRecordWords = 3;
 inline constexpr std::size_t kDelayedRecordWords = 4;
 inline constexpr std::uint64_t kDupFlag = 1ULL << 32;

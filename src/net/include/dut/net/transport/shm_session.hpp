@@ -1,27 +1,27 @@
 #pragma once
 
-// ShmSession: one shared-memory segment shared by a group of rank
-// processes, plus the coordination protocol that runs over it (trial
-// lockstep, abort propagation, SPSC rings, lockstep all-gather). The
-// delivery semantics built on top live in ShmTransport; this class only
-// moves words and keeps the group in step.
+// ShmSession: one anonymous shared-memory segment shared by a group of
+// rank processes, plus the coordination protocol that runs over it (trial
+// lockstep, abort propagation, SPSC rings). The delivery semantics built on
+// top live in ShmTransport — round batches and post-run gathers alike
+// cross ranks through the rings; this class only moves words and keeps
+// the group in step.
 //
-// Lifetime: the coordinator creates the segment (anonymous for fork-based
-// workers, named for exec'd ones) and drives trials with begin_trial /
-// end_session; workers attach (inherit the object across fork, or
-// open_named) and loop on wait_trial / post_ready. All blocking waits are
-// iteration-counted — no wall-clock reads — and watch both the abort code
-// and shutdown flag, so a crashed or aborting peer turns into a
-// TransportAborted throw instead of a deadlock. A worker idle in
-// wait_trial ends up blocked on a futex that begin_trial and end_session
-// wake, so a trial published while it sleeps starts at once.
+// Lifetime: the coordinator creates the segment before it forks the
+// workers (WorkerGroup), which inherit the mapping; it dies with the last
+// process that maps it, so no name is ever left behind. The coordinator
+// drives trials with begin_trial / end_session; workers loop on
+// wait_trial / post_ready. All blocking waits are iteration-counted — no
+// wall-clock reads — and watch both the abort code and shutdown flag, so a
+// crashed or aborting peer turns into a TransportAborted throw instead of
+// a deadlock. A worker idle in wait_trial ends up blocked on a futex that
+// begin_trial and end_session wake, so a trial published while it sleeps
+// starts at once.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "dut/net/transport/shm_layout.hpp"
 
@@ -41,12 +41,6 @@ class ShmSession {
   /// process (fork-based WorkerGroup) and to threads, never named in the
   /// filesystem.
   static ShmSession create_anonymous(const Options& options);
-  /// POSIX shm object for exec'd workers (dut_cli --worker). The creator
-  /// owns the name and unlinks it on destruction.
-  static ShmSession create_named(const std::string& name,
-                                 const Options& options);
-  /// Attaches to an existing named segment and validates its layout.
-  static ShmSession open_named(const std::string& name);
 
   ShmSession(ShmSession&& other) noexcept;
   ShmSession& operator=(ShmSession&&) = delete;
@@ -55,11 +49,10 @@ class ShmSession {
   ~ShmSession();
 
   std::uint32_t num_ranks() const noexcept;
-  const std::string& name() const noexcept { return name_; }
 
   // -- trial lockstep (coordinator side) ------------------------------------
   /// Waits for every worker to finish the previous trial, resets all
-  /// per-trial state (rings, exchange cells, abort code), publishes
+  /// per-trial state (rings, abort code), publishes
   /// (seed, flags) and releases the group into the next trial. Returns the
   /// new trial sequence number.
   std::uint64_t begin_trial(std::uint64_t seed, std::uint64_t flags);
@@ -90,14 +83,6 @@ class ShmSession {
   /// cause — if the current trial was aborted, or if the session shut down
   /// mid-trial.
   void check_abort() const;
-
-  // -- lockstep all-gather ---------------------------------------------------
-  /// Publish number `publish` (1-based, identical sequence on every rank)
-  /// of `local` (≤ kExchangeWords words, same count on every rank); fills
-  /// `all` with num_ranks blocks of local.size() words in rank order.
-  void exchange(std::uint32_t rank, std::uint64_t publish,
-                std::span<const std::uint64_t> local,
-                std::vector<std::uint64_t>& all);
 
   // -- SPSC rings ------------------------------------------------------------
   /// Pushes up to `count` words into the (from → to) ring; returns how many
@@ -140,16 +125,12 @@ class ShmSession {
 
  private:
   ShmSession() = default;
-  static ShmSession map_segment(int fd, bool owner, const std::string& name,
-                                const Options* options);
   shm::ShmControl* control() const noexcept;
   shm::RingHeader* ring_header(std::uint32_t from, std::uint32_t to) const;
   std::uint64_t* ring_data(std::uint32_t from, std::uint32_t to) const;
 
   void* base_ = nullptr;
   std::size_t mapped_bytes_ = 0;
-  std::string name_;    // empty for anonymous segments
-  bool owner_ = false;  // created (vs attached): unlinks the name, resets
 };
 
 }  // namespace dut::net

@@ -8,7 +8,10 @@
 // so the round needs no other synchronization), and flip_round splices
 // them into a shard-sized detail::RoundArena — the same arena
 // InProcTransport delivers through, so the flip touches only this shard's
-// receivers and deferred messages are injected by the same code.
+// receivers and deferred messages are injected by the same code. The
+// post-run gathers (exchange_summaries: the engine's metrics, then the
+// protocol's verdict summaries) travel the same rings as record-less
+// batches, so the rings are the one wire between ranks.
 //
 // Determinism (DESIGN.md §14 carries the full argument): shards are
 // contiguous ascending id ranges and every rank executes its nodes in id
@@ -69,7 +72,6 @@ class ShmTransport final : public Transport {
     return !local_records_.empty() || !remote_records_.empty();
   }
   void settle_run(std::uint64_t round) override;
-  void reduce_metrics(EngineMetrics& metrics) override;
   void exchange_summaries(std::span<const std::uint64_t> local,
                           std::vector<std::uint64_t>& all) override;
   void abort_run(TransportAbortCode code) noexcept override {
@@ -92,7 +94,8 @@ class ShmTransport final : public Transport {
   /// Pushes all outgoing batches and drains exactly one incoming batch per
   /// peer — its header first, then the length the header announces —
   /// interleaved so oversized batches can never deadlock a rank pair.
-  void pump_rings(std::uint64_t round);
+  /// Every incoming header must carry `tag` (the round, or kGatherTag).
+  void pump_rings(std::uint64_t tag);
   /// Splices one rank's records (own staging or a decoded batch) into the
   /// arena — fresh ones pending, delayed ones deferred — in that rank's
   /// send order.
@@ -118,7 +121,6 @@ class ShmTransport final : public Transport {
   std::uint32_t shard_last_ = 0;
   bool fault_mode_ = false;
   TransportHooks* hooks_ = nullptr;
-  std::uint64_t exchange_publishes_ = 0;  // lockstep all-gather counter
 
   // This round's staged sends, in send order, partitioned by owning rank:
   // local_records_ (destined to this shard) splice at this rank's slot of
@@ -131,10 +133,12 @@ class ShmTransport final : public Transport {
   // delayed messages owned by this shard, in global deferred order.
   detail::RoundArena arena_;
 
-  // Ring pump state. in_batches_[peer] holds the batch the last exchange
-  // received until flip_round merges it; it is sized to the words still
-  // expected (the header, then the whole batch) and in_read_ counts those
-  // already popped.
+  // Ring pump state, one slot per rank (this rank's own slot stays
+  // unused), kept across runs so a pooled transport reuses its buffers.
+  // in_batches_[peer] holds the batch the last exchange received until
+  // flip_round merges it (or exchange_summaries copies it out); it is sized
+  // to the words still expected (the header, then the whole batch) and
+  // in_read_ counts those already popped.
   std::vector<std::vector<std::uint64_t>> out_batches_;   // per peer
   std::vector<std::size_t> out_sent_;                     // words pushed
   std::vector<std::vector<std::uint64_t>> in_batches_;    // per peer

@@ -16,6 +16,11 @@
 //    owns a contiguous node shard and exchanges per-peer message batches
 //    through shared-memory rings in lockstep rounds.
 //
+// Two calls synchronize ranks, and nothing else does: exchange_round at
+// every round boundary, and exchange_summaries for the post-run gathers
+// (the engine folds every rank's EngineMetrics through it, then protocols
+// merge their verdict summaries). In process both are the identity.
+//
 // Determinism contract across backends: node shards are contiguous
 // ascending id ranges and every rank executes its nodes in id order, so
 // concatenating per-rank batches in rank order reproduces the global
@@ -34,8 +39,6 @@
 #include "dut/net/arena.hpp"
 
 namespace dut::net {
-
-struct EngineMetrics;
 
 /// Halt/send visibility keys: the engine executes nodes in ascending id
 /// order within a round, so "was `to` halted when `from` sent in round R"
@@ -178,13 +181,12 @@ class Transport {
   /// that the in-process engine applied at their send sites.
   virtual void settle_run(std::uint64_t round) = 0;
 
-  /// Folds every rank's metrics into one global EngineMetrics (identical
-  /// result on all ranks). Identity for single-process transports.
-  virtual void reduce_metrics(EngineMetrics& metrics) = 0;
-
-  /// All-gathers a small per-rank word vector (post-run verdict summaries).
-  /// `all` receives num_ranks() blocks of `local.size()` words, rank order.
-  /// Every rank must call with the same word count.
+  /// All-gathers a small per-rank word vector after a run: the engine's
+  /// metrics fold, then the protocol's verdict summaries. `all` receives
+  /// num_ranks() blocks of `local.size()` words, rank order (in process:
+  /// `local` itself). Every rank must make the same calls in the same
+  /// sequence with the same word count; a rank that meets a round batch
+  /// where a gather is due, or the reverse, throws TransportAborted.
   virtual void exchange_summaries(std::span<const std::uint64_t> local,
                                   std::vector<std::uint64_t>& all) = 0;
 

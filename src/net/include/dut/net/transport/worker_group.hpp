@@ -1,23 +1,20 @@
 #pragma once
 
-// WorkerGroup: process management for ShmSession rank groups.
+// WorkerGroup: process management for ShmSession rank groups — the one way
+// rank processes are started.
 //
-// Fork mode (tests, bench, library callers): the coordinator constructs the
-// group over an anonymous session and a callable; the group forks one child
-// per worker rank, each running `fn(rank)` against the inherited mapping
-// and then exiting. The parent stays rank 0. `finish()` (or the
-// destructor) shuts the session down and reaps every child.
-//
-// Exec mode (dut_cli --workers): spawn_worker_processes launches
-// `argv[0] --worker <rank> --shm <name> ...` children that re-parse their
-// command line, open the named session and serve trials; wait_worker
-// processes reaps them.
+// The coordinator constructs the group over an anonymous session and a
+// callable; the group forks one child per worker rank, each running
+// `fn(rank)` against the inherited mapping and then exiting. The parent
+// stays rank 0. `finish()` (or the destructor) shuts the session down and
+// reaps every child. A child inherits only the forking thread, so `fn`
+// must not rely on any other thread of the parent (a stats::TrialRunner
+// pool, say, or a lock one of them held at the fork).
 
 #include <sys/types.h>
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "dut/net/transport/shm_session.hpp"
@@ -42,14 +39,5 @@ class WorkerGroup {
   std::vector<pid_t> pids_;
   bool finished_ = false;
 };
-
-/// Exec-mode helper: spawns one `exe` process per worker rank with
-/// `--worker <rank> --shm <shm_name>` prepended to `args`. Returns pids.
-std::vector<pid_t> spawn_worker_processes(
-    const std::string& exe, const std::string& shm_name,
-    std::uint32_t num_ranks, const std::vector<std::string>& args);
-
-/// Reaps `pids`; returns true if every process exited cleanly with 0.
-bool wait_worker_processes(const std::vector<pid_t>& pids) noexcept;
 
 }  // namespace dut::net

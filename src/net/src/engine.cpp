@@ -1,6 +1,7 @@
 #include "dut/net/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdlib>
 #include <iterator>
@@ -13,6 +14,63 @@
 #include "dut/obs/trace.hpp"
 
 namespace dut::net {
+
+namespace {
+
+// The post-run metrics gather carries every EngineMetrics word, packed in
+// this order.
+constexpr std::size_t kMetricsWords = 15;
+
+std::array<std::uint64_t, kMetricsWords> pack_metrics(const EngineMetrics& m) {
+  return {m.rounds,
+          m.messages,
+          m.total_bits,
+          m.max_message_bits,
+          m.faults.dropped,
+          m.faults.duplicated,
+          m.faults.corrupted,
+          m.faults.delayed,
+          m.faults.expired,
+          m.faults.crashes,
+          m.budget.messages,
+          m.budget.max_edge_round_bits,
+          m.budget.max_node_bits,
+          m.budget.busiest_node,
+          m.budget.violations};
+}
+
+/// Folds the gathered blocks, one per rank in rank order, into the global
+/// figures: max of rounds and widths, sum of counts. The busiest sender
+/// comes from a strictly-greater scan over ascending ranks, which picks the
+/// lowest node id among ties exactly like the ledger's scan over ascending
+/// node ids (shards are ascending id blocks). One block folds to itself.
+EngineMetrics fold_metrics(std::span<const std::uint64_t> blocks) {
+  EngineMetrics out;
+  for (std::size_t at = 0; at < blocks.size(); at += kMetricsWords) {
+    const std::uint64_t* w = blocks.data() + at;
+    out.rounds = std::max(out.rounds, w[0]);
+    out.messages += w[1];
+    out.total_bits += w[2];
+    out.max_message_bits = std::max(out.max_message_bits, w[3]);
+    out.faults.dropped += w[4];
+    out.faults.duplicated += w[5];
+    out.faults.corrupted += w[6];
+    out.faults.delayed += w[7];
+    out.faults.expired += w[8];
+    out.faults.crashes += w[9];
+    out.budget.messages += w[10];
+    out.budget.max_edge_round_bits =
+        std::max(out.budget.max_edge_round_bits, w[11]);
+    if (w[12] > out.budget.max_node_bits) {
+      out.budget.max_node_bits = w[12];
+      out.budget.busiest_node = static_cast<std::uint32_t>(w[13]);
+    }
+    out.budget.violations += w[14];
+  }
+  return out;
+}
+
+}  // namespace
 
 void NodeContext::send(std::uint32_t neighbor, const Message& msg) {
   engine_->deliver(id_, neighbor, msg);
@@ -465,9 +523,11 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
       trace_violation("protocol", detail);
       throw ProtocolViolation(detail);
     }
-    // Fold per-rank tallies into the global figures every rank reports
-    // identically (identity in-process).
-    transport_->reduce_metrics(metrics_);
+    // Gather every rank's tallies and fold them into the global figures
+    // each rank reports identically. In process this is the 1-block fold
+    // of an identity gather, which leaves metrics_ unchanged.
+    transport_->exchange_summaries(pack_metrics(metrics_), metrics_gather_);
+    metrics_ = fold_metrics(metrics_gather_);
   } catch (const ProtocolViolation&) {
     transport_->abort_run(TransportAbortCode::kProtocolViolation);
     throw;
@@ -494,8 +554,8 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
     obs::counter("net.live_node_rounds").add(live_node_rounds);
     // Per-run budget figures, one histogram record per completed run; the
     // report's "budget" section is budget_from_snapshot() over these. A
-    // sharded run records the post-reduction (global) figures, so the
-    // section matches the in-process run bit for bit.
+    // sharded run records the folded (global) figures, so the section
+    // matches the in-process run bit for bit.
     if (config_.model == Model::kCongest) {
       static obs::Histogram& rounds_used =
           obs::histogram("net.congest.rounds");

@@ -1,6 +1,5 @@
 #include "dut/net/transport/shm_session.hpp"
 
-#include <fcntl.h>
 #include <linux/futex.h>
 #include <sched.h>
 #include <sys/mman.h>
@@ -14,6 +13,7 @@
 #include <cstring>
 #include <new>
 #include <stdexcept>
+#include <string>
 
 #include "dut/net/transport/transport.hpp"
 
@@ -80,112 +80,38 @@ std::uint64_t* ShmSession::ring_data(std::uint32_t from,
       sizeof(shm::RingHeader));
 }
 
-ShmSession ShmSession::map_segment(int fd, bool owner, const std::string& name,
-                                   const Options* options) {
-  std::size_t bytes = 0;
-  if (options != nullptr) {
-    if (options->num_ranks < 2 || options->num_ranks > shm::kMaxRanks) {
-      throw std::invalid_argument("ShmSession: num_ranks out of range");
-    }
-    if (options->ring_words < shm::kBatchHeaderWords) {
-      throw std::invalid_argument("ShmSession: ring_words too small");
-    }
-    bytes = segment_bytes(options->num_ranks, options->ring_words);
-    if (fd >= 0 && ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
-      throw std::runtime_error(std::string("ShmSession: ftruncate: ") +
-                               std::strerror(errno));
-    }
-  } else {
-    // Attaching: map the control block first to learn the full size.
-    void* probe = mmap(nullptr, sizeof(shm::ShmControl), PROT_READ,
-                       MAP_SHARED, fd, 0);
-    if (probe == MAP_FAILED) {
-      throw std::runtime_error(std::string("ShmSession: mmap probe: ") +
-                               std::strerror(errno));
-    }
-    const auto* c = static_cast<const shm::ShmControl*>(probe);
-    if (c->magic != shm::kMagic) {
-      munmap(probe, sizeof(shm::ShmControl));
-      throw std::runtime_error("ShmSession: segment magic mismatch");
-    }
-    bytes = c->total_bytes;
-    munmap(probe, sizeof(shm::ShmControl));
+ShmSession ShmSession::create_anonymous(const Options& options) {
+  if (options.num_ranks < 2 || options.num_ranks > shm::kMaxRanks) {
+    throw std::invalid_argument("ShmSession: num_ranks out of range");
   }
-
-  const int flags = fd >= 0 ? MAP_SHARED : MAP_SHARED | MAP_ANONYMOUS;
-  void* base =
-      mmap(nullptr, bytes, PROT_READ | PROT_WRITE, flags, fd, 0);
+  if (options.ring_words < shm::kBatchHeaderWords) {
+    throw std::invalid_argument("ShmSession: ring_words too small");
+  }
+  const std::size_t bytes =
+      segment_bytes(options.num_ranks, options.ring_words);
+  void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (base == MAP_FAILED) {
     throw std::runtime_error(std::string("ShmSession: mmap: ") +
                              std::strerror(errno));
   }
-
   ShmSession session;
   session.base_ = base;
   session.mapped_bytes_ = bytes;
-  session.name_ = name;
-  session.owner_ = owner;
-  if (options != nullptr) {
-    auto* c = new (base) shm::ShmControl();
-    c->num_ranks = options->num_ranks;
-    c->ring_words = options->ring_words;
-    c->total_bytes = bytes;
-    c->magic = shm::kMagic;  // last: attachers gate on it
-  }
+  auto* c = new (base) shm::ShmControl();
+  c->num_ranks = options.num_ranks;
+  c->ring_words = options.ring_words;
   return session;
 }
 
-ShmSession ShmSession::create_anonymous(const Options& options) {
-  return map_segment(-1, /*owner=*/true, /*name=*/"", &options);
-}
-
-ShmSession ShmSession::create_named(const std::string& name,
-                                    const Options& options) {
-  const int fd = shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-  if (fd < 0) {
-    throw std::runtime_error(std::string("ShmSession: shm_open(create ") +
-                             name + "): " + std::strerror(errno));
-  }
-  try {
-    ShmSession session = map_segment(fd, /*owner=*/true, name, &options);
-    close(fd);
-    return session;
-  } catch (...) {
-    close(fd);
-    shm_unlink(name.c_str());
-    throw;
-  }
-}
-
-ShmSession ShmSession::open_named(const std::string& name) {
-  const int fd = shm_open(name.c_str(), O_RDWR, 0600);
-  if (fd < 0) {
-    throw std::runtime_error(std::string("ShmSession: shm_open(") + name +
-                             "): " + std::strerror(errno));
-  }
-  try {
-    ShmSession session = map_segment(fd, /*owner=*/false, name, nullptr);
-    close(fd);
-    return session;
-  } catch (...) {
-    close(fd);
-    throw;
-  }
-}
-
 ShmSession::ShmSession(ShmSession&& other) noexcept
-    : base_(other.base_),
-      mapped_bytes_(other.mapped_bytes_),
-      name_(std::move(other.name_)),
-      owner_(other.owner_) {
+    : base_(other.base_), mapped_bytes_(other.mapped_bytes_) {
   other.base_ = nullptr;
   other.mapped_bytes_ = 0;
-  other.owner_ = false;
 }
 
 ShmSession::~ShmSession() {
   if (base_ != nullptr) munmap(base_, mapped_bytes_);
-  if (owner_ && !name_.empty()) shm_unlink(name_.c_str());
 }
 
 std::uint32_t ShmSession::num_ranks() const noexcept {
@@ -288,12 +214,6 @@ std::uint64_t ShmSession::begin_trial(std::uint64_t seed,
       backoff.pause_ignoring_abort(*this);
     }
   }
-  for (std::uint32_t r = 0; r < c.num_ranks; ++r) {
-    // dut-lint: handoff(seq): quiescence barrier — every rank posted
-    // ready above, so the exchange cells are idle and the coordinator
-    // may reset the owner's (exchange's) field between trials.
-    c.exchange[r].seq.store(0, std::memory_order_relaxed);
-  }
   for (std::uint32_t from = 0; from < c.num_ranks; ++from) {
     for (std::uint32_t to = 0; to < c.num_ranks; ++to) {
       shm::RingHeader* ring = ring_header(from, to);
@@ -383,35 +303,6 @@ void ShmSession::post_ready(std::uint32_t rank, std::uint64_t seq) {
   // dut-lint: ordering(quiescence): release publishes everything this rank
   // wrote during the trial to begin_trial's acquire sweep.
   control()->ready[rank].store(seq, std::memory_order_release);
-}
-
-void ShmSession::exchange(std::uint32_t rank, std::uint64_t publish,
-                          std::span<const std::uint64_t> local,
-                          std::vector<std::uint64_t>& all) {
-  shm::ShmControl& c = *control();
-  const std::size_t words = local.size();
-  if (words > shm::kExchangeWords) {
-    throw std::invalid_argument("ShmSession::exchange: payload too wide");
-  }
-  const std::size_t parity = publish & 1;
-  shm::ExchangeCell& mine = c.exchange[rank];
-  std::copy(local.begin(), local.end(), mine.words[parity]);
-  // dut-lint: ordering(exchange-publish): release publishes this rank's
-  // payload words before the sequence number that announces them.
-  mine.seq.store(publish, std::memory_order_release);
-
-  all.assign(static_cast<std::size_t>(c.num_ranks) * words, 0);
-  for (std::uint32_t r = 0; r < c.num_ranks; ++r) {
-    const shm::ExchangeCell& cell = c.exchange[r];
-    Backoff backoff;
-    // dut-lint: ordering(exchange-publish): acquire pairs with the peer's
-    // release store; its payload words are valid once seq catches up.
-    while (cell.seq.load(std::memory_order_acquire) < publish) {
-      backoff.pause(*this);
-    }
-    const std::uint64_t* src = cell.words[parity];
-    std::copy(src, src + words, all.begin() + r * words);
-  }
 }
 
 std::size_t ShmSession::ring_try_push(std::uint32_t from, std::uint32_t to,

@@ -1,9 +1,8 @@
 #include "dut/net/transport/shm_transport.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
-
-#include "dut/net/engine.hpp"
 
 namespace dut::net {
 
@@ -15,7 +14,11 @@ using shm::kFreshRecordWords;
 ShmTransport::ShmTransport(ShmSession& session, std::uint32_t rank)
     : session_(&session),
       rank_(rank),
-      num_ranks_(session.num_ranks()) {
+      num_ranks_(session.num_ranks()),
+      out_batches_(num_ranks_),
+      out_sent_(num_ranks_, 0),
+      in_batches_(num_ranks_),
+      in_read_(num_ranks_, 0) {
   if (rank_ >= num_ranks_) {
     throw std::invalid_argument("ShmTransport: rank out of range");
   }
@@ -48,17 +51,11 @@ void ShmTransport::begin_run(std::uint32_t num_nodes, bool fault_mode,
   const auto [first, last] = shard(num_nodes);
   shard_first_ = first;
   shard_last_ = last;
-  exchange_publishes_ = 0;
 
   local_records_.clear();
   remote_records_.clear();
   staging_payload_.clear();
   arena_.reset(first, last - first);
-
-  out_batches_.assign(num_ranks_, {});
-  out_sent_.assign(num_ranks_, 0);
-  in_batches_.assign(num_ranks_, {});
-  in_read_.assign(num_ranks_, 0);
 }
 
 void ShmTransport::stage(const detail::ArenaRecord& rec,
@@ -134,7 +131,7 @@ void ShmTransport::serialize_batch(std::uint32_t peer, std::uint64_t round,
   out[5] = counts.crashes;
 }
 
-void ShmTransport::pump_rings(std::uint64_t round) {
+void ShmTransport::pump_rings(std::uint64_t tag) {
   for (std::uint32_t peer = 0; peer < num_ranks_; ++peer) {
     if (peer == rank_) continue;
     out_sent_[peer] = 0;
@@ -158,8 +155,8 @@ void ShmTransport::pump_rings(std::uint64_t round) {
         if (out_sent_[peer] < out.size()) done = false;
       }
       // Drain `peer`'s batch for us: the header, then exactly the words it
-      // announces. The peer may already have queued its next round's batch
-      // behind this one; those words stay in the ring for the next call.
+      // announces. The peer may already have queued its next batch behind
+      // this one; those words stay in the ring for the next call.
       std::vector<std::uint64_t>& in = in_batches_[peer];
       std::size_t& read = in_read_[peer];
       while (read < in.size()) {
@@ -169,9 +166,8 @@ void ShmTransport::pump_rings(std::uint64_t round) {
         progress = true;
         read += popped;
         if (read == kBatchHeaderWords && in.size() == kBatchHeaderWords) {
-          if (in[0] != round) {
-            throw TransportAborted(
-                "ShmTransport: round-batch sequence mismatch");
+          if (in[0] != tag) {
+            throw TransportAborted("ShmTransport: batch sequence mismatch");
           }
           in.resize(kBatchHeaderWords + in[1] * kFreshRecordWords +
                     in[2] * kDelayedRecordWords + in[3]);
@@ -294,60 +290,31 @@ void ShmTransport::settle_run(std::uint64_t round) {
   arena_.expire_deferred(*hooks_);
 }
 
-void ShmTransport::reduce_metrics(EngineMetrics& metrics) {
-  // All-gather the per-rank tallies and fold them the same way on every
-  // rank, so each rank reports identical global figures.
-  const std::uint64_t local[15] = {
-      metrics.rounds,
-      metrics.messages,
-      metrics.total_bits,
-      metrics.max_message_bits,
-      metrics.faults.dropped,
-      metrics.faults.duplicated,
-      metrics.faults.corrupted,
-      metrics.faults.delayed,
-      metrics.faults.expired,
-      metrics.faults.crashes,
-      metrics.budget.messages,
-      metrics.budget.max_edge_round_bits,
-      metrics.budget.max_node_bits,
-      metrics.budget.busiest_node,
-      metrics.budget.violations,
-  };
-  std::vector<std::uint64_t> all;
-  session_->exchange(rank_, ++exchange_publishes_, local, all);
-
-  EngineMetrics out;
-  for (std::uint32_t r = 0; r < num_ranks_; ++r) {
-    const std::uint64_t* w = all.data() + static_cast<std::size_t>(r) * 15;
-    out.rounds = std::max(out.rounds, w[0]);
-    out.messages += w[1];
-    out.total_bits += w[2];
-    out.max_message_bits = std::max(out.max_message_bits, w[3]);
-    out.faults.dropped += w[4];
-    out.faults.duplicated += w[5];
-    out.faults.corrupted += w[6];
-    out.faults.delayed += w[7];
-    out.faults.expired += w[8];
-    out.faults.crashes += w[9];
-    out.budget.messages += w[10];
-    out.budget.max_edge_round_bits =
-        std::max(out.budget.max_edge_round_bits, w[11]);
-    // Busiest sender: strictly-greater scan over ascending ranks picks the
-    // lowest node id among ties, exactly like the single-process ledger's
-    // scan over ascending node ids (shards are ascending id blocks).
-    if (w[12] > out.budget.max_node_bits) {
-      out.budget.max_node_bits = w[12];
-      out.budget.busiest_node = static_cast<std::uint32_t>(w[13]);
-    }
-    out.budget.violations += w[14];
-  }
-  metrics = out;
-}
-
 void ShmTransport::exchange_summaries(std::span<const std::uint64_t> local,
                                       std::vector<std::uint64_t>& all) {
-  session_->exchange(rank_, ++exchange_publishes_, local, all);
+  // One batch with no records per peer, through the same rings and the same
+  // one-batch-per-call pump as every round.
+  const std::size_t words = local.size();
+  for (std::uint32_t peer = 0; peer < num_ranks_; ++peer) {
+    if (peer == rank_) continue;
+    std::vector<std::uint64_t>& out = out_batches_[peer];
+    out.assign({shm::kGatherTag, 0, 0, words, 0, 0});
+    out.insert(out.end(), local.begin(), local.end());
+  }
+  pump_rings(shm::kGatherTag);
+  all.resize(static_cast<std::size_t>(num_ranks_) * words);
+  for (std::uint32_t r = 0; r < num_ranks_; ++r) {
+    const auto at = all.begin() + static_cast<std::ptrdiff_t>(r * words);
+    if (r == rank_) {
+      std::copy(local.begin(), local.end(), at);
+      continue;
+    }
+    const std::vector<std::uint64_t>& in = in_batches_[r];
+    if (in[3] != words) {
+      throw TransportAborted("ShmTransport: gather width mismatch");
+    }
+    std::copy(in.begin() + kBatchHeaderWords, in.end(), at);
+  }
 }
 
 }  // namespace dut::net

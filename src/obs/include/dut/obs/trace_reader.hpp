@@ -7,6 +7,7 @@
 // run_start opens a new summary. The summaries stream: memory grows with
 // the runs and their node counts, not with the events.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -77,9 +78,10 @@ std::vector<TraceRunSummary> read_trace_file(const std::string& path);
 /// Same, over in-memory JSONL text (for tests).
 std::vector<TraceRunSummary> read_trace_text(const std::string& text);
 
-// --- Full-event view -------------------------------------------------------
+// --- One run's events ---------------------------------------------------------
 // `dut_trace lineage` and `critical-path` rebuild the send→deliver
-// happens-before DAG, so they need every event rather than the roll-up.
+// happens-before DAG of one run, so they need that run's events rather than
+// the roll-up.
 
 struct TraceEvent {
   enum class Kind {
@@ -101,13 +103,12 @@ struct TraceEvent {
   std::uint32_t active = 0;  ///< round events only
 };
 
-struct TraceRun {
-  TraceRunSummary summary;
-  std::vector<TraceEvent> events;  ///< in file order, run_start..run_end
-};
-
-/// Parses a whole trace file keeping every event, one TraceRun per
-/// summary. Throws like read_trace_file.
-std::vector<TraceRun> read_trace_runs(const std::string& path);
+/// The events of run `run` (its index among read_trace_file's summaries),
+/// in file order. Streams the file and keeps only that run's events, so
+/// memory grows with the one run, not the file; reading stops at the end of
+/// the run. Throws like read_trace_file, and when the file holds no such
+/// run.
+std::vector<TraceEvent> read_trace_events(const std::string& path,
+                                          std::size_t run);
 
 }  // namespace dut::obs

@@ -182,8 +182,11 @@ TraceEvent apply_line(const Json& line, std::vector<TraceRunSummary>& runs,
   return event;
 }
 
-std::vector<TraceRunSummary> read_stream(std::istream& in,
-                                         std::vector<TraceRun>* full) {
+/// Folds every line of `in` into per-run summaries and hands each parsed
+/// event, with the index of the run it belongs to, to `on_event`, which
+/// returns false to stop reading.
+template <class OnEvent>
+std::vector<TraceRunSummary> read_stream(std::istream& in, OnEvent on_event) {
   std::vector<TraceRunSummary> runs;
   OpenRound open;
   std::string line;
@@ -192,25 +195,17 @@ std::vector<TraceRunSummary> read_stream(std::istream& in,
     ++line_no;
     if (line.empty()) continue;
     try {
-      const std::size_t before = runs.size();
-      const TraceEvent event =
-          apply_line(Json::parse(line), runs, open);
-      if (full != nullptr) {
-        if (runs.size() > before) full->emplace_back();
-        full->back().events.push_back(event);
-      }
+      const TraceEvent event = apply_line(Json::parse(line), runs, open);
+      if (!on_event(runs.size() - 1, event)) break;
     } catch (const std::exception& error) {
       throw std::runtime_error("trace line " + std::to_string(line_no) +
                                ": " + error.what());
     }
   }
-  if (full != nullptr) {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      (*full)[i].summary = runs[i];
-    }
-  }
   return runs;
 }
+
+bool keep_reading(std::size_t, const TraceEvent&) { return true; }
 
 }  // namespace
 
@@ -219,22 +214,31 @@ std::vector<TraceRunSummary> read_trace_file(const std::string& path) {
   if (!in) {
     throw std::runtime_error("read_trace_file: cannot open " + path);
   }
-  return read_stream(in, nullptr);
+  return read_stream(in, keep_reading);
 }
 
 std::vector<TraceRunSummary> read_trace_text(const std::string& text) {
   std::istringstream in(text);
-  return read_stream(in, nullptr);
+  return read_stream(in, keep_reading);
 }
 
-std::vector<TraceRun> read_trace_runs(const std::string& path) {
+std::vector<TraceEvent> read_trace_events(const std::string& path,
+                                          std::size_t run) {
   std::ifstream in(path);
   if (!in) {
-    throw std::runtime_error("read_trace_runs: cannot open " + path);
+    throw std::runtime_error("read_trace_events: cannot open " + path);
   }
-  std::vector<TraceRun> full;
-  read_stream(in, &full);
-  return full;
+  std::vector<TraceEvent> events;
+  const std::vector<TraceRunSummary> runs =
+      read_stream(in, [&](std::size_t index, const TraceEvent& event) {
+        if (index == run) events.push_back(event);
+        return index <= run;
+      });
+  if (run >= runs.size()) {
+    throw std::runtime_error("read_trace_events: " + path + " holds no run " +
+                             std::to_string(run));
+  }
+  return events;
 }
 
 }  // namespace dut::obs

@@ -1,12 +1,11 @@
 // ShmSession unit coverage: the contiguous shard partition, the SPSC
-// rings, the lockstep all-gather, first-wins abort propagation, the trial
-// handshake, and ShmTransport's round-batch framing. The session is plain
-// shared memory, so two std::threads over one anonymous segment exercise
-// the same code paths two rank processes would.
+// rings, first-wins abort propagation, the trial handshake, and
+// ShmTransport's one wire — round batches and post-run gathers framed alike
+// and taken exactly one per call. The session is plain shared memory, so
+// std::threads over one anonymous segment exercise the same code paths
+// rank processes would.
 
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -92,14 +91,15 @@ TEST(ShmSession, ExchangeAllGathersInRankOrder) {
       ShmSession::Options{.num_ranks = kRanks});
   std::vector<std::vector<std::uint64_t>> gathered(kRanks);
 
-  // Three publishes per rank, the third after two barriers, to check the
-  // parity double-buffering survives consecutive rounds.
+  // Three gathers per rank with no barrier between them: a fast rank queues
+  // its next gather batch behind the last one, and each gather must still
+  // take exactly its own batch from every peer.
   auto participant = [&](std::uint32_t rank) {
+    ShmTransport transport(session, rank);
     std::vector<std::uint64_t> all;
     for (std::uint64_t publish = 1; publish <= 3; ++publish) {
       const std::uint64_t local[2] = {100 * publish + rank, rank};
-      session.exchange(rank, publish, std::span<const std::uint64_t>(local, 2),
-                       all);
+      transport.exchange_summaries(local, all);
       gathered[rank] = all;  // keep the last gather only
     }
   };
@@ -158,11 +158,13 @@ TEST(ShmSession, TrialHandshakeDeliversSeedsInOrder) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> served;  // (seed, flags)
 
   // Real trials synchronize all ranks through the transport before the
-  // coordinator moves on; a bare exchange stands in for that here (without
+  // coordinator moves on; a bare gather stands in for that here (without
   // it, end_session could legitimately win the race against the worker's
   // pickup of the final trial).
+  ShmTransport coordinator(session, 0);
   std::vector<std::uint64_t> all;
   std::thread worker([&] {
+    ShmTransport transport(session, 1);
     std::uint64_t last_seq = 0;
     std::vector<std::uint64_t> worker_all;
     for (;;) {
@@ -171,8 +173,8 @@ TEST(ShmSession, TrialHandshakeDeliversSeedsInOrder) {
       last_seq = trial.seq;
       served.emplace_back(trial.seed, trial.flags);
       const std::uint64_t local = trial.seed;
-      session.exchange(1, 1, std::span<const std::uint64_t>(&local, 1),
-                       worker_all);
+      transport.exchange_summaries(std::span<const std::uint64_t>(&local, 1),
+                                   worker_all);
       session.post_ready(1, trial.seq);
     }
   });
@@ -180,7 +182,8 @@ TEST(ShmSession, TrialHandshakeDeliversSeedsInOrder) {
   for (std::uint64_t t = 0; t < 3; ++t) {
     const std::uint64_t seq = session.begin_trial(7000 + t, t == 1 ? 1 : 0);
     const std::uint64_t local = 7000 + t;
-    session.exchange(0, 1, std::span<const std::uint64_t>(&local, 1), all);
+    coordinator.exchange_summaries(std::span<const std::uint64_t>(&local, 1),
+                                   all);
     ASSERT_EQ(all.size(), 2u);
     EXPECT_EQ(all[0], all[1]);
     session.post_ready(0, seq);
@@ -213,6 +216,7 @@ TEST(ShmSession, WorkerIdlePastItsYieldStageServesEveryTrial) {
   constexpr std::uint64_t kTrials = 4;
   std::vector<std::uint64_t> served;
   std::thread worker([&] {
+    ShmTransport transport(session, 1);
     std::uint64_t last_seq = 0;
     std::vector<std::uint64_t> worker_all;
     for (;;) {
@@ -221,18 +225,20 @@ TEST(ShmSession, WorkerIdlePastItsYieldStageServesEveryTrial) {
       last_seq = trial.seq;
       served.push_back(trial.seed);
       const std::uint64_t local = trial.seed;
-      session.exchange(1, 1, std::span<const std::uint64_t>(&local, 1),
-                       worker_all);
+      transport.exchange_summaries(std::span<const std::uint64_t>(&local, 1),
+                                   worker_all);
       session.post_ready(1, trial.seq);
     }
   });
 
+  ShmTransport coordinator(session, 0);
   std::vector<std::uint64_t> all;
   for (std::uint64_t t = 0; t < kTrials; ++t) {
     idle_past_the_yield_stage();
     const std::uint64_t seq = session.begin_trial(500 + t, 0);
     const std::uint64_t local = 500 + t;
-    session.exchange(0, 1, std::span<const std::uint64_t>(&local, 1), all);
+    coordinator.exchange_summaries(std::span<const std::uint64_t>(&local, 1),
+                                   all);
     ASSERT_EQ(all.size(), 2u);
     EXPECT_EQ(all[0], all[1]) << "trial " << t;
     session.post_ready(0, seq);
@@ -338,23 +344,116 @@ TEST(ShmTransport, ExchangeTakesExactlyOneQueuedBatchPerRound) {
   EXPECT_EQ(hooks.expired, 0u);
 }
 
-TEST(ShmSession, NamedSegmentsRoundTrip) {
-  const std::string name = "/dut_shm_session_test_" +
-                           std::to_string(::getpid());
-  ShmSession owner = ShmSession::create_named(
-      name, ShmSession::Options{.num_ranks = 2, .ring_words = 32});
-  ShmSession peer = ShmSession::open_named(name);
-  EXPECT_EQ(peer.num_ranks(), 2u);
+TEST(ShmTransport, GatherLargerThanTheRingArrivesWhole) {
+  // An 8-word ring carries a 26-word gather batch (6 header words and 20
+  // payload words): the pump interleaves pushes and pops, so a gather, like
+  // a round batch, is never bounded by the ring.
+  constexpr std::size_t kWords = 20;
+  ShmSession session = ShmSession::create_anonymous(
+      ShmSession::Options{.num_ranks = 2, .ring_words = 8});
+  ASSERT_GT(shm::kBatchHeaderWords + kWords, 8u);
+  std::vector<std::vector<std::uint64_t>> gathered(2);
+  auto participant = [&](std::uint32_t rank) {
+    ShmTransport transport(session, rank);
+    std::vector<std::uint64_t> local(kWords);
+    std::iota(local.begin(), local.end(), 1000 * std::uint64_t{rank + 1});
+    transport.exchange_summaries(local, gathered[rank]);
+  };
+  std::thread peer(participant, 1);
+  participant(0);
+  peer.join();
 
-  const std::uint64_t words[3] = {11, 22, 33};
-  ASSERT_EQ(owner.ring_try_push(0, 1, words, 3), 3u);
-  std::uint64_t out[3] = {};
-  ASSERT_EQ(peer.ring_try_pop(0, 1, out, 3), 3u);
-  EXPECT_EQ(out[0], 11u);
-  EXPECT_EQ(out[2], 33u);
+  std::vector<std::uint64_t> expected(2 * kWords);
+  std::iota(expected.begin(), expected.begin() + kWords, 1000);
+  std::iota(expected.begin() + kWords, expected.end(), 2000);
+  EXPECT_EQ(gathered[0], expected);
+  EXPECT_EQ(gathered[1], expected);
+}
 
-  EXPECT_THROW(ShmSession::open_named("/dut_shm_no_such_segment"),
-               std::runtime_error);
+TEST(ShmTransport, RoundAndGatherEachTakeOnlyTheirOwnBatch) {
+  // A peer that finished its run may queue its final round batch and then
+  // its gather batch before this rank reads either. Rank 1's two batches
+  // are written into its ring by hand: exchange_round must take the round
+  // batch only, and exchange_summaries the gather batch only.
+  ShmSession session = ShmSession::create_anonymous(
+      ShmSession::Options{.num_ranks = 2});
+  constexpr std::uint32_t kNodes = 8;  // rank 0: [0, 4), rank 1: [4, 8)
+  const std::vector<std::uint64_t> batches = {
+      // round 5: 4 -> 1 (1 field)
+      5, 1, 0, 1, /*live=*/4, /*crashes=*/0,
+      shm::pack_endpoints(4, 1), 9, 1,
+      444,
+      // gather: 3 words
+      shm::kGatherTag, 0, 0, 3, 0, 0,
+      71, 72, 73};
+  ASSERT_EQ(session.ring_try_push(1, 0, batches.data(), batches.size()),
+            batches.size());
+
+  IdleHooks hooks;
+  ShmTransport transport(session, 0);
+  transport.begin_run(kNodes, /*fault_mode=*/false, hooks);
+  const RoundCounts r5 =
+      transport.exchange_round(5, {.live = 4, .crashes = 0});
+  EXPECT_EQ(r5.live, 8u);
+  EXPECT_EQ(r5.crashes, 0u);
+
+  // The gather batch must still be queued whole (popped and pushed back,
+  // as in ExchangeTakesExactlyOneQueuedBatchPerRound).
+  const std::vector<std::uint64_t> gather(batches.begin() + 10,
+                                          batches.end());
+  std::vector<std::uint64_t> queued(gather.size() + 1);
+  queued.resize(session.ring_try_pop(1, 0, queued.data(), queued.size()));
+  ASSERT_EQ(queued, gather) << "the round exchange read past its batch";
+  ASSERT_EQ(session.ring_try_push(1, 0, queued.data(), queued.size()),
+            queued.size());
+
+  transport.flip_round(5);
+  ASSERT_EQ(transport.inbox(1).size(), 1u);
+  EXPECT_EQ(transport.inbox(1)[0].sender, 4u);
+  EXPECT_EQ(transport.inbox(1)[0].fields()[0], 444u);
+
+  const std::uint64_t local[3] = {61, 62, 63};
+  std::vector<std::uint64_t> all;
+  transport.exchange_summaries(local, all);
+  EXPECT_EQ(all, (std::vector<std::uint64_t>{61, 62, 63, 71, 72, 73}));
+  std::uint64_t rest[1];
+  EXPECT_EQ(session.ring_try_pop(1, 0, rest, 1), 0u) << "ring not drained";
+
+  // Rank 0's own two batches went out the same way, in call order.
+  const std::vector<std::uint64_t> sent_expected = {
+      5, 0, 0, 0, 4, 0, shm::kGatherTag, 0, 0, 3, 0, 0, 61, 62, 63};
+  std::vector<std::uint64_t> sent(sent_expected.size() + 1);
+  sent.resize(session.ring_try_pop(0, 1, sent.data(), sent.size()));
+  EXPECT_EQ(sent, sent_expected);
+}
+
+TEST(ShmTransport, BatchOfTheWrongKindAborts) {
+  IdleHooks hooks;
+  const std::uint64_t local[1] = {1};
+  std::vector<std::uint64_t> all;
+  {
+    // A round batch where a gather is due.
+    ShmSession session = ShmSession::create_anonymous(
+        ShmSession::Options{.num_ranks = 2});
+    const std::uint64_t round7[] = {7, 0, 0, 0, 4, 0};
+    ASSERT_EQ(session.ring_try_push(1, 0, round7, std::size(round7)),
+              std::size(round7));
+    ShmTransport transport(session, 0);
+    transport.begin_run(8, /*fault_mode=*/false, hooks);
+    EXPECT_THROW(transport.exchange_summaries(local, all), TransportAborted);
+  }
+  {
+    // A gather batch where round 3's batch is due.
+    ShmSession session = ShmSession::create_anonymous(
+        ShmSession::Options{.num_ranks = 2});
+    const std::uint64_t gather[] = {shm::kGatherTag, 0, 0, 1, 0, 0, 2};
+    ASSERT_EQ(session.ring_try_push(1, 0, gather, std::size(gather)),
+              std::size(gather));
+    ShmTransport transport(session, 0);
+    transport.begin_run(8, /*fault_mode=*/false, hooks);
+    EXPECT_THROW((void)transport.exchange_round(3, {.live = 4, .crashes = 0}),
+                 TransportAborted);
+  }
 }
 
 }  // namespace

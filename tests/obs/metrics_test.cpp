@@ -219,7 +219,9 @@ TEST(Metrics, SnapshotWhileWritersAreLiveIsRaceFreeAndSane) {
     const HistogramData& data = it->second;
     EXPECT_GE(data.count, last_count) << "histogram count went backwards";
     last_count = data.count;
-    if (data.count > 0) EXPECT_LE(data.min, data.max);
+    if (data.count > 0) {
+      EXPECT_LE(data.min, data.max);
+    }
     std::uint64_t bucket_total = 0;
     for (const auto& [floor, n] : data.buckets) bucket_total += n;
     // Relaxed per-cell increments mean a mid-write snapshot may see a

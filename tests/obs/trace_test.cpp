@@ -260,9 +260,9 @@ TEST(JsonlTraceWriter, BudgetAndReplayPreambleRoundTrips) {
     writer.on_deliver(1, 0, 1, 5);
     writer.on_run_end(TraceRunTotals{1, 1, 5, 5});
   }
-  const auto runs = read_trace_runs(path);
+  const auto runs = read_trace_file(path);
   ASSERT_EQ(runs.size(), 1u);
-  const TraceRunSummary& s = runs[0].summary;
+  const TraceRunSummary& s = runs[0];
   EXPECT_EQ(s.info.level, 2);
   EXPECT_TRUE(s.info.budget.bounded());
   EXPECT_EQ(s.info.budget.bits_per_edge_round, 27u);
@@ -273,13 +273,43 @@ TEST(JsonlTraceWriter, BudgetAndReplayPreambleRoundTrips) {
   EXPECT_EQ(s.info.annotations[1].second, "ring:3");
   EXPECT_EQ(s.info.annotations[2].second, "1.2");
 
-  // read_trace_runs keeps the events alongside the summary.
-  ASSERT_EQ(runs[0].events.size(), 4u);
-  EXPECT_EQ(runs[0].events[0].kind, TraceEvent::Kind::kRunStart);
-  EXPECT_EQ(runs[0].events[1].kind, TraceEvent::Kind::kSend);
-  EXPECT_EQ(runs[0].events[1].bits, 5u);
-  EXPECT_EQ(runs[0].events[2].kind, TraceEvent::Kind::kDeliver);
-  EXPECT_EQ(runs[0].events[3].kind, TraceEvent::Kind::kRunEnd);
+  // read_trace_events gives the run's events in file order.
+  const auto events = read_trace_events(path, 0);
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[0].kind, TraceEvent::Kind::kRunStart);
+  EXPECT_EQ(events[1].kind, TraceEvent::Kind::kSend);
+  EXPECT_EQ(events[1].bits, 5u);
+  EXPECT_EQ(events[2].kind, TraceEvent::Kind::kDeliver);
+  EXPECT_EQ(events[3].kind, TraceEvent::Kind::kRunEnd);
+}
+
+TEST(TraceReader, EventsAreReadForOneRunOnly) {
+  const std::string path = temp_path("trace_events_two_runs.jsonl");
+  std::remove(path.c_str());
+  {
+    JsonlTraceWriter writer(path);
+    writer.on_run_start(congest_info(2, 8));
+    writer.on_round(0, 2);
+    writer.on_send(0, 0, 1, 5);
+    writer.on_run_end(TraceRunTotals{1, 1, 5, 5});
+    writer.on_run_start(congest_info(3, 8));
+    writer.on_round(0, 3);
+    writer.on_send(0, 1, 2, 7);
+    writer.on_send(0, 2, 0, 6);
+    writer.on_halt(0, 2);
+    writer.on_run_end(TraceRunTotals{1, 2, 13, 7});
+  }
+  const auto second = read_trace_events(path, 1);
+  ASSERT_EQ(second.size(), 6u);
+  EXPECT_EQ(second.front().kind, TraceEvent::Kind::kRunStart);
+  EXPECT_EQ(second[2].kind, TraceEvent::Kind::kSend);
+  EXPECT_EQ(second[2].from, 1u);
+  EXPECT_EQ(second[2].bits, 7u);
+  EXPECT_EQ(second[4].kind, TraceEvent::Kind::kHalt);
+  EXPECT_EQ(second.back().kind, TraceEvent::Kind::kRunEnd);
+  EXPECT_EQ(read_trace_events(path, 0).size(), 4u);
+  EXPECT_THROW((void)read_trace_events(path, 2), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(JsonlTraceWriterDeathTest, TerminateHandlerFlushesTailBuffer) {

@@ -30,20 +30,18 @@
 // Every flag value is parsed strictly: an integer must be all decimal
 // digits (obs::parse_u64 semantics), a real must parse whole, and both must
 // lie in the flag's range; anything else is a usage error (exit status 2),
-// never a silent default or a truncated value.
+// never a silent default or a truncated value. So is a flag the command
+// does not take: a mistyped `--trails 5` is refused, not ignored.
 //
 // --faults takes a net::FaultPlan spec (drop= dup= corrupt= delay=P[:MAX]
 // crash=NODE@ROUND[+...] seed=S) and switches run-congest to the resilient
 // protocol with timeout-and-quorum decisions.
 //
-// --workers W runs the sweep sharded over W rank processes: the coordinator
-// creates a named shm session, re-execs itself W-1 times with the internal
-// `--worker <rank> --shm <name>` prefix (workers re-parse the identical
-// run-congest flags, open the session and serve trials), and merges
-// verdicts that are bit-identical to the single-process run at the same
-// seeds (the transport_congest_gate ctest target holds this equality).
-
-#include <unistd.h>
+// --workers W runs the sweep sharded over W rank processes through
+// congest::run_congest_uniformity_sharded: ranks 1..W-1 are forked over an
+// anonymous shm segment, and the merged verdicts are bit-identical to the
+// single-process run at the same seeds (the transport_congest_gate ctest
+// target holds this equality).
 
 #include <algorithm>
 #include <cerrno>
@@ -53,6 +51,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,10 +85,13 @@ using namespace dut;
   std::exit(2);
 }
 
+// The flags of one command line. Each accessor records the flag it reads,
+// so refuse_unread() can reject every flag the command does not take.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
+  Args(int argc, char** argv, std::string command)
+      : command_(std::move(command)) {
+    for (int i = 2; i < argc; ++i) {
       std::string flag = argv[i];
       if (flag.rfind("--", 0) != 0) usage("flags must start with --");
       flag = flag.substr(2);
@@ -108,7 +110,7 @@ class Args {
       const std::string& flag, std::uint64_t fallback, bool required = false,
       std::uint64_t min = 0,
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
-    const auto it = values_.find(flag);
+    const auto it = find(flag);
     if (it == values_.end()) {
       if (required) usage(("missing required --" + flag).c_str());
       return fallback;
@@ -128,7 +130,7 @@ class Args {
   double real(const std::string& flag, double fallback, bool required = false,
               double min = std::numeric_limits<double>::lowest(),
               double max = std::numeric_limits<double>::max()) const {
-    const auto it = values_.find(flag);
+    const auto it = find(flag);
     if (it == values_.end()) {
       if (required) usage(("missing required --" + flag).c_str());
       return fallback;
@@ -148,14 +150,34 @@ class Args {
   }
 
   std::string text(const std::string& flag, const std::string& fallback) const {
-    const auto it = values_.find(flag);
+    const auto it = find(flag);
     return it == values_.end() ? fallback : it->second;
   }
 
-  bool flag(const std::string& name) const { return values_.count(name) > 0; }
+  bool flag(const std::string& name) const {
+    return find(name) != values_.end();
+  }
+
+  /// A usage error naming the first flag no accessor has read. Commands
+  /// call it once they have read all their flags, before they run.
+  void refuse_unread() const {
+    for (const auto& [flag, value] : values_) {
+      if (read_.count(flag) == 0) {
+        usage((command_ + " does not take --" + flag).c_str());
+      }
+    }
+  }
 
  private:
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& flag) const {
+    read_.insert(flag);
+    return values_.find(flag);
+  }
+
+  std::string command_;
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 void print(const stats::TextTable& table) {
@@ -181,6 +203,7 @@ int plan_threshold_cmd(const Args& args) {
   const double p = args.real("p", 1.0 / 3.0);
   const auto bound = args.flag("chernoff") ? core::TailBound::kChernoff
                                            : core::TailBound::kExactBinomial;
+  args.refuse_unread();
   const auto plan = core::plan_threshold(n, k, eps, p, bound);
   if (!plan.feasible) {
     std::printf("infeasible: %s\n", plan.infeasible_reason.c_str());
@@ -204,6 +227,7 @@ int plan_and_cmd(const Args& args) {
   const std::uint64_t k = args.integer("k", 0, true);
   const double eps = args.real("eps", 0.0, true);
   const double p = args.real("p", 1.0 / 3.0);
+  args.refuse_unread();
   const auto plan = core::plan_and_rule(n, k, eps, p);
   if (!plan.feasible) {
     std::printf("infeasible: %s\n", plan.infeasible_reason.c_str());
@@ -227,6 +251,7 @@ int plan_congest_cmd(const Args& args) {
   const double eps = args.real("eps", 0.0, true);
   const double p = args.real("p", 1.0 / 3.0);
   const std::uint64_t samples = args.integer("samples", 1);
+  args.refuse_unread();
   const auto plan = congest::plan_congest(
       n, k, eps, p, core::TailBound::kExactBinomial, samples);
   if (!plan.feasible) {
@@ -252,6 +277,7 @@ int run_threshold_cmd(const Args& args) {
   const std::uint64_t trials = args.integer("trials", 100);
   const std::uint64_t seed = args.integer("seed", 1);
   const std::string family = args.text("family", "uniform");
+  args.refuse_unread();
 
   const auto plan = core::plan_threshold(n, k, eps, p,
                                          core::TailBound::kExactBinomial);
@@ -290,10 +316,7 @@ net::Graph make_topology(const std::string& name, std::uint32_t k) {
   usage(("unknown topology '" + name + "'").c_str());
 }
 
-// Everything a run-congest invocation resolves from its flags alone. The
-// sharded path re-execs the binary per worker rank with the same flags, so
-// this resolution must be a pure function of the arguments — coordinator
-// and workers each build it independently and must agree bit for bit.
+// Everything a run-congest invocation resolves from its flags.
 struct CongestRun {
   congest::CongestPlan plan;
   net::Graph graph;
@@ -331,19 +354,6 @@ CongestRun make_congest_run(const Args& args) {
   return run;
 }
 
-congest::ShardedCongestOptions make_sharded_options(const CongestRun& run,
-                                                    std::uint32_t workers) {
-  congest::ShardedCongestOptions options;
-  options.num_ranks = workers;
-  options.seeds.resize(run.trials);
-  for (std::uint64_t t = 0; t < run.trials; ++t) {
-    options.seeds[t] = run.seed + t;
-  }
-  options.resilience = run.resilience;
-  options.faults = run.faults.has_value() ? &*run.faults : nullptr;
-  return options;
-}
-
 void print_congest_summary(const CongestRun& run,
                            const std::vector<congest::CongestRunResult>& rs) {
   std::uint64_t rejects = 0;
@@ -370,81 +380,41 @@ void print_congest_summary(const CongestRun& run,
   }
 }
 
-int run_congest_sharded(const Args& args, const char* exe,
-                        const std::vector<std::string>& raw_args) {
-  const auto workers = static_cast<std::uint32_t>(
-      args.integer("workers", 0, true, 2, net::shm::kMaxRanks));
+int run_congest_cmd(const Args& args) {
+  const std::uint64_t workers =
+      args.integer("workers", 0, false, 0, net::shm::kMaxRanks);
   const CongestRun run = make_congest_run(args);
-  if (!run.plan.feasible) {
-    std::printf("infeasible: %s\n", run.plan.infeasible_reason.c_str());
-    return 1;
-  }
-  const congest::ShardedCongestOptions options =
-      make_sharded_options(run, workers);
-  const core::AliasSampler sampler(run.mu);
-
-  const std::string shm_name = "/dut_cli_" + std::to_string(::getpid());
-  net::ShmSession session = net::ShmSession::create_named(
-      shm_name, net::ShmSession::Options{.num_ranks = workers});
-  // Workers re-exec this binary with the identical run-congest arguments;
-  // the injected --worker/--shm prefix routes them into serve mode.
-  const std::vector<pid_t> pids =
-      net::spawn_worker_processes(exe, shm_name, workers, raw_args);
-
-  std::vector<congest::CongestRunResult> results;
-  try {
-    results = congest::coordinate_congest_uniformity(session, run.plan,
-                                                     run.graph, sampler,
-                                                     options);
-  } catch (...) {
-    session.end_session();
-    (void)net::wait_worker_processes(pids);
-    throw;
-  }
-  session.end_session();
-  if (!net::wait_worker_processes(pids)) {
-    std::fprintf(stderr, "error: a worker process exited uncleanly\n");
-    return 1;
-  }
-  std::printf("sharded over %u rank processes (shm session %s)\n", workers,
-              shm_name.c_str());
-  print_congest_summary(run, results);
-  return 0;
-}
-
-int run_congest_worker(std::uint32_t rank, const std::string& shm_name,
-                       const Args& args) {
-  const CongestRun run = make_congest_run(args);
-  if (!run.plan.feasible) return 1;
-  const congest::ShardedCongestOptions options = make_sharded_options(
-      run, 0);  // num_ranks/seeds unused by the serve loop
-  const core::AliasSampler sampler(run.mu);
-  net::ShmSession session = net::ShmSession::open_named(shm_name);
-  congest::serve_congest_uniformity(session, rank, run.plan, run.graph,
-                                    sampler, options);
-  return 0;
-}
-
-int run_congest_cmd(const Args& args, const char* exe,
-                    const std::vector<std::string>& raw_args) {
-  if (args.integer("workers", 0) > 1) {
-    return run_congest_sharded(args, exe, raw_args);
-  }
-  const CongestRun run = make_congest_run(args);
+  args.refuse_unread();
   if (!run.plan.feasible) {
     std::printf("infeasible: %s\n", run.plan.infeasible_reason.c_str());
     return 1;
   }
   const core::AliasSampler sampler(run.mu);
-  congest::CongestSetup setup = congest::make_congest_setup(
-      run.plan, run.graph, run.resilience,
-      run.faults.has_value() ? &*run.faults : nullptr);
+  const net::FaultPlan* faults =
+      run.faults.has_value() ? &*run.faults : nullptr;
 
   std::vector<congest::CongestRunResult> results;
-  results.reserve(run.trials);
-  for (std::uint64_t t = 0; t < run.trials; ++t) {
-    results.push_back(congest::run_congest_uniformity(run.plan, setup,
-                                                      sampler, run.seed + t));
+  if (workers > 1) {
+    congest::ShardedCongestOptions options;
+    options.num_ranks = static_cast<std::uint32_t>(workers);
+    for (std::uint64_t t = 0; t < run.trials; ++t) {
+      options.seeds.push_back(run.seed + t);
+    }
+    options.resilience = run.resilience;
+    options.faults = faults;
+    // Forks the worker ranks. This process has started no thread for the
+    // children to miss: run-congest never touches stats::global_runner().
+    results = congest::run_congest_uniformity_sharded(run.plan, run.graph,
+                                                      sampler, options);
+    std::printf("sharded over %u rank processes\n", options.num_ranks);
+  } else {
+    congest::CongestSetup setup = congest::make_congest_setup(
+        run.plan, run.graph, run.resilience, faults);
+    results.reserve(run.trials);
+    for (std::uint64_t t = 0; t < run.trials; ++t) {
+      results.push_back(congest::run_congest_uniformity(
+          run.plan, setup, sampler, run.seed + t));
+    }
   }
   print_congest_summary(run, results);
   return 0;
@@ -469,6 +439,7 @@ int serve_cmd(const Args& args) {
   config.seed = args.integer("seed", 1, false, 0, ~std::uint64_t{0} - 1);
   const std::uint64_t epochs =
       args.integer("duration-epochs", 8, false, 1, 1 << 20);
+  args.refuse_unread();
 
   // Reject-with-message on infeasible (n, eps, p) regimes, matching the
   // planners above (and FleetMonitor's construction contract).
@@ -574,6 +545,7 @@ int serve_cmd(const Args& args) {
 
 int families_cmd(const Args& args) {
   const std::uint64_t n = args.integer("n", 4096);
+  args.refuse_unread();
   stats::TextTable table({"family", "L1 to uniform", "chi * n", "entropy"});
   struct Row {
     const char* name;
@@ -602,48 +574,15 @@ int families_cmd(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Internal worker mode (spawned by --workers): `dut_cli --worker <rank>
-  // --shm <name> run-congest <flags...>` — strip the prefix, rebuild the
-  // identical run from the remaining flags and serve trials until the
-  // coordinator shuts the session down.
-  if (argc >= 6 && std::string(argv[1]) == "--worker" &&
-      std::string(argv[3]) == "--shm") {
-    const std::optional<std::uint64_t> rank =
-        obs::parse_u64(argv[2], 1, net::shm::kMaxRanks - 1);
-    if (!rank) {
-      usage(("--worker wants a rank in [1, " +
-             std::to_string(net::shm::kMaxRanks - 1) + "], got '" + argv[2] +
-             "'")
-                .c_str());
-    }
-    const std::string shm_name = argv[4];
-    if (std::string(argv[5]) != "run-congest") {
-      usage("--worker mode only supports run-congest");
-    }
-    const Args args(argc, argv, 6);
-    try {
-      return run_congest_worker(static_cast<std::uint32_t>(*rank), shm_name,
-                                args);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "worker %llu error: %s\n",
-                   static_cast<unsigned long long>(*rank), error.what());
-      return 1;
-    }
-  }
-
   if (argc < 2) usage();
   const std::string command = argv[1];
-  const Args args(argc, argv, 2);
-  // The raw tail (command included) is what a re-exec'd worker replays.
-  std::vector<std::string> raw_args;
-  for (int i = 1; i < argc; ++i) raw_args.emplace_back(argv[i]);
+  const Args args(argc, argv, command);
   try {
     if (command == "plan-threshold") return plan_threshold_cmd(args);
     if (command == "plan-and") return plan_and_cmd(args);
     if (command == "plan-congest") return plan_congest_cmd(args);
     if (command == "run-threshold") return run_threshold_cmd(args);
-    if (command == "run-congest")
-      return run_congest_cmd(args, argv[0], raw_args);
+    if (command == "run-congest") return run_congest_cmd(args);
     if (command == "serve") return serve_cmd(args);
     if (command == "families") return families_cmd(args);
   } catch (const std::exception& error) {

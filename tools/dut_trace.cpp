@@ -34,8 +34,9 @@
 //       <trace>.replay and byte-diffs that file against the trace. Exit 0
 //       iff they are identical; the replay file is kept only on failure.
 //
-// summary, check and replay stream the transcript; lineage and
-// critical-path hold its events.
+// Every subcommand streams the transcript. lineage and critical-path pick
+// their run from the streamed summaries, then stream the file once more
+// and hold only that run's events.
 
 #include <algorithm>
 #include <cstdint>
@@ -66,7 +67,6 @@ namespace {
 
 using dut::obs::Json;
 using dut::obs::TraceEvent;
-using dut::obs::TraceRun;
 using dut::obs::TraceRunSummary;
 
 using U64 = unsigned long long;
@@ -425,9 +425,10 @@ int cmd_check_report(const Options& opts) {
 // lineage and critical-path
 // ---------------------------------------------------------------------------
 
-/// Picks the run to audit: --run N, else the last complete run, else the
-/// last run. Returns nullopt and prints why when nothing qualifies.
-std::optional<std::size_t> pick_run(const std::vector<TraceRun>& runs,
+/// Picks the run to audit from the streamed summaries: --run N, else the
+/// last complete run, else the last run. Returns nullopt and prints why
+/// when nothing qualifies.
+std::optional<std::size_t> pick_run(const std::vector<TraceRunSummary>& runs,
                                     const Options& opts) {
   if (runs.empty()) {
     std::fprintf(stderr, "dut_trace: %s holds no runs\n", opts.path.c_str());
@@ -442,16 +443,17 @@ std::optional<std::size_t> pick_run(const std::vector<TraceRun>& runs,
     return opts.run;
   }
   for (std::size_t i = runs.size(); i > 0; --i) {
-    if (runs[i - 1].summary.has_end) return i - 1;
+    if (runs[i - 1].has_end) return i - 1;
   }
   return runs.size() - 1;
 }
 
-/// The run's sends, stably sorted by round (descending when `latest_first`).
-std::vector<const TraceEvent*> sends_by_round(const TraceRun& run,
-                                              bool latest_first) {
+/// The sends among `events`, stably sorted by round (descending when
+/// `latest_first`).
+std::vector<const TraceEvent*> sends_by_round(
+    const std::vector<TraceEvent>& events, bool latest_first) {
   std::vector<const TraceEvent*> sends;
-  for (const TraceEvent& event : run.events) {
+  for (const TraceEvent& event : events) {
     if (event.kind == TraceEvent::Kind::kSend) sends.push_back(&event);
   }
   std::stable_sort(sends.begin(), sends.end(),
@@ -463,16 +465,18 @@ std::vector<const TraceEvent*> sends_by_round(const TraceRun& run,
 }
 
 int cmd_lineage(const Options& opts) {
-  const auto runs = dut::obs::read_trace_runs(opts.path);
+  const auto runs = dut::obs::read_trace_file(opts.path);
   const std::optional<std::size_t> index = pick_run(runs, opts);
   if (!index) return 1;
-  const TraceRun& run = runs[*index];
+  const TraceRunSummary& summary = runs[*index];
+  const std::vector<TraceEvent> events =
+      dut::obs::read_trace_events(opts.path, *index);
 
   // The audit target: the last halt in the run — for a completed protocol
   // that is the final decision point (in these protocols, the root's
   // verdict broadcast ends with the last nodes halting).
   const TraceEvent* target = nullptr;
-  for (const TraceEvent& event : run.events) {
+  for (const TraceEvent& event : events) {
     if (event.kind == TraceEvent::Kind::kHalt) target = &event;
   }
   if (target == nullptr) {
@@ -490,7 +494,7 @@ int cmd_lineage(const Options& opts) {
   interest[target->from] = target->round;
   std::uint64_t causal_sends = 0;
   std::map<std::uint64_t, std::uint64_t> cone_growth;  // round -> new sends
-  for (const TraceEvent* send : sends_by_round(run, /*latest_first=*/true)) {
+  for (const TraceEvent* send : sends_by_round(events, /*latest_first=*/true)) {
     const auto it = interest.find(send->to);
     if (it == interest.end() || send->round + 1 > it->second) continue;
     ++causal_sends;
@@ -502,9 +506,9 @@ int cmd_lineage(const Options& opts) {
   std::printf("run %zu: lineage of halt(node %u, round %llu)\n", *index,
               target->from, static_cast<U64>(target->round));
   std::printf("  causal cone: %zu of %u nodes, %llu of %llu sends\n",
-              interest.size(), run.summary.info.nodes,
+              interest.size(), summary.info.nodes,
               static_cast<U64>(causal_sends),
-              static_cast<U64>(run.summary.messages));
+              static_cast<U64>(summary.messages));
   for (const auto& [round, count] : cone_growth) {
     std::printf("  round %llu: %llu causal send(s)\n",
                 static_cast<U64>(round), static_cast<U64>(count));
@@ -513,10 +517,12 @@ int cmd_lineage(const Options& opts) {
 }
 
 int cmd_critical_path(const Options& opts) {
-  const auto runs = dut::obs::read_trace_runs(opts.path);
+  const auto runs = dut::obs::read_trace_file(opts.path);
   const std::optional<std::size_t> index = pick_run(runs, opts);
   if (!index) return 1;
-  const TraceRun& run = runs[*index];
+  const TraceRunSummary& summary = runs[*index];
+  const std::vector<TraceEvent> events =
+      dut::obs::read_trace_events(opts.path, *index);
 
   // depth[v] = longest chain of causally-ordered sends whose last message
   // was delivered to v. A round-r send from u extends u's chain; it reaches
@@ -534,7 +540,7 @@ int cmd_critical_path(const Options& opts) {
     }
     staged.clear();
   };
-  for (const TraceEvent* send : sends_by_round(run, /*latest_first=*/false)) {
+  for (const TraceEvent* send : sends_by_round(events, /*latest_first=*/false)) {
     if (send->round != current_round) {
       flush_round();
       current_round = send->round;
@@ -546,9 +552,8 @@ int cmd_critical_path(const Options& opts) {
   }
   flush_round();
 
-  const std::uint64_t rounds = run.summary.has_end
-                                   ? run.summary.declared.rounds
-                                   : run.summary.rounds_seen;
+  const std::uint64_t rounds =
+      summary.has_end ? summary.declared.rounds : summary.rounds_seen;
   std::printf("run %zu: critical path %llu send(s) over %llu round(s)\n",
               *index, static_cast<U64>(longest), static_cast<U64>(rounds));
   if (longest > rounds) {

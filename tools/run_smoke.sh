@@ -73,10 +73,10 @@ if [ "${1:-}" = "--serve" ]; then
   exit 0
 fi
 
-# Workers mode: `dut_cli run-congest --workers N` takes the exec-spawned
-# worker path (spawn_worker_processes re-executes dut_cli, each worker opens
-# the named shm session) and must print exactly what the single-process run
-# prints, apart from its "sharded over" banner. Both flag sets of the
+# Workers mode: `dut_cli run-congest --workers N` forks N-1 worker ranks
+# over an anonymous shm segment (congest::run_congest_uniformity_sharded)
+# and must print exactly what the single-process run prints, apart from its
+# "sharded over" banner. Both flag sets of the
 # cli_run_congest and cli_run_congest_faults entries are checked at 2
 # workers, so the resilient protocol's quorum and fault tallies must match
 # too. The faults set runs again at 3 workers under a crash plan that stops
